@@ -2,13 +2,58 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
+#include <stdexcept>
 
 namespace qfr {
+namespace {
+
+thread_local ThreadPool* t_current = nullptr;
+
+/// Shared state of one parallel_for. Helper tasks own it jointly with the
+/// caller, so a helper dequeued after the loop finished finds no index
+/// left and never touches `fn`, which lives on the caller's stack.
+struct Loop {
+  Loop(std::size_t n, const std::function<void(std::size_t)>& fn)
+      : n(n), fn(fn) {}
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};  // early-out hint; `error` is the record
+  std::mutex mutex;                 // guards done and error
+  std::condition_variable finished;
+  std::size_t done = 0;
+  std::exception_ptr error;  // first exception thrown by fn
+};
+
+/// Claims and runs indices until none is left. An index claimed after a
+/// failure is counted as done without running, so the loop drains fast.
+void drain(Loop& loop) {
+  for (;;) {
+    const std::size_t i = loop.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= loop.n) return;
+    std::exception_ptr error;
+    if (!loop.failed.load(std::memory_order_relaxed)) {
+      try {
+        loop.fn(i);
+      } catch (...) {
+        error = std::current_exception();
+        loop.failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    std::lock_guard<std::mutex> lock(loop.mutex);
+    if (error && !loop.error) loop.error = error;
+    if (++loop.done == loop.n) loop.finished.notify_all();
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t n) {
-  const std::size_t count = std::max<std::size_t>(1, n);
-  threads_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  threads_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -22,7 +67,25 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
+ThreadPool* ThreadPool::current() { return t_current; }
+
+void ThreadPool::enqueue(std::function<void()> task, std::size_t copies) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) throw std::runtime_error("submit on stopped ThreadPool");
+    if (threads_.empty())
+      throw std::logic_error("submit on a ThreadPool without threads");
+    for (std::size_t c = 1; c < copies; ++c) queue_.push(task);
+    queue_.push(std::move(task));
+  }
+  if (copies == 1)
+    cv_.notify_one();
+  else
+    cv_.notify_all();
+}
+
 void ThreadPool::worker_loop() {
+  t_current = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -42,35 +105,20 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t workers = size();
-  if (n == 1 || workers == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Dynamic chunking: ~4 chunks per worker balances skewed iterations
-  // without excessive queue traffic.
-  const std::size_t chunks = std::min(n, workers * 4);
-  std::atomic<std::size_t> next{0};
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    futs.push_back(submit([&] {
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(chunk_size, std::memory_order_relaxed);
-        if (begin >= n) return;
-        const std::size_t end = std::min(n, begin + chunk_size);
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      }
-    }));
-  }
-  for (auto& f : futs) f.get();
-}
+  auto loop = std::make_shared<Loop>(n, fn);
+  // The caller runs indices too, so at most n - 1 helpers can find work.
+  const std::size_t helpers = std::min(size(), n - 1);
+  if (helpers > 0) enqueue([loop] { drain(*loop); }, helpers);
 
-ThreadPool& default_pool() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
+  ThreadPool* const outer = t_current;
+  t_current = this;
+  drain(*loop);
+  t_current = outer;
+
+  // Every index is claimed by now; wait for those still running elsewhere.
+  std::unique_lock<std::mutex> lock(loop->mutex);
+  loop->finished.wait(lock, [&] { return loop->done == n; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 }  // namespace qfr

@@ -14,21 +14,28 @@ namespace qfr {
 /// Fixed-size worker thread pool.
 ///
 /// This is the execution substrate for the in-process master/leader/worker
-/// runtime: leaders and workers of the hierarchical scheduler are tasks
-/// submitted here rather than OS processes, which keeps the scheduling
-/// logic identical to the paper's MPI deployment while staying runnable
-/// on a laptop.
+/// runtime: each leader owns a pool of helper threads, and the leader
+/// thread itself is one more compute thread, since parallel_for runs
+/// indices on the caller too. Loops nest: a fragment running inside a
+/// leader's parallel_for fans its displacement jobs out over the same
+/// pool (see current()), which is the paper's third tier.
 class ThreadPool {
  public:
-  /// Creates `n` worker threads (at least 1).
+  /// Creates `n` helper threads. With n = 0, parallel_for runs entirely
+  /// on the calling thread and submit is unavailable.
   explicit ThreadPool(std::size_t n);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
+  /// Number of helper threads.
   std::size_t size() const { return threads_.size(); }
+
+  /// The pool whose loop the calling thread is inside: its own pool for a
+  /// helper thread, the pool of the enclosing parallel_for for a caller,
+  /// nullptr otherwise.
+  static ThreadPool* current();
 
   /// Enqueue a task; returns a future for its result.
   template <typename F>
@@ -37,20 +44,21 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) throw std::runtime_error("submit on stopped ThreadPool");
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
+    enqueue([task] { (*task)(); });
     return fut;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// Work is chunked to amortize queueing overhead.
+  /// Run fn(i) for i in [0, n) on the caller and the helper threads, and
+  /// return once every index has run. Indices are claimed one at a time
+  /// from a shared counter, and the caller waits only for indices already
+  /// claimed, so parallel_for may be called from inside fn (or from any
+  /// helper thread) without deadlock. If fn throws, indices not yet
+  /// started are skipped, and the first exception is rethrown after every
+  /// started index has finished.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
+  void enqueue(std::function<void()> task, std::size_t copies = 1);
   void worker_loop();
 
   std::vector<std::thread> threads_;
@@ -59,8 +67,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// A process-wide default pool sized to the hardware concurrency.
-ThreadPool& default_pool();
 
 }  // namespace qfr

@@ -1,7 +1,9 @@
 #include "qfr/engine/scf_engine.hpp"
 
-#include <array>
+#include <functional>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "qfr/common/thread_pool.hpp"
 
@@ -28,8 +30,9 @@ struct PointResult {
 
 // One displaced-geometry job: SCF (+ DFPT when alpha is needed, + analytic
 // gradient in gradient mode). The cancel token is passed explicitly — the
-// runtime installs it per worker thread, but displacement jobs run on the
-// engine's own pool where the ambient thread-local is not visible.
+// runtime installs it on the thread computing the fragment, but
+// displacement jobs may run on the leader pool's helper threads, where
+// that thread-local is not visible.
 PointResult evaluate_point(const Molecule& mol, const ScfEngineOptions& opts,
                            const Matrix* warm_density, bool with_alpha,
                            bool with_gradient, dfpt::PhaseTimes* times,
@@ -102,12 +105,13 @@ FragmentResult ScfEngine::compute(const Molecule& fragment) const {
   res.dmu.resize_zero(3, dim);
 
   // Cancellation: capture the runtime's ambient token once on this thread;
-  // it is handed to every solver (including jobs on the displacement pool,
-  // which do not inherit the thread-local) so a revoked fragment aborts
-  // mid-sweep instead of finishing hundreds of displaced-geometry solves.
+  // it is handed to every solver (including jobs on the leader pool's
+  // helper threads, which do not inherit the thread-local) so a revoked
+  // fragment aborts mid-sweep instead of finishing hundreds of
+  // displaced-geometry solves.
   const common::CancelToken cancel = common::current_cancel_token();
   // Same capture for observability: displacement jobs re-install the
-  // ambient session on the pool threads so SCF/DFPT instrument themselves.
+  // ambient session on helper threads so SCF/DFPT instrument themselves.
   obs::Session* const obs = obs::current();
 
   // Equilibrium point: energy, density (warm start), polarizability.
@@ -143,57 +147,99 @@ FragmentResult ScfEngine::compute(const Molecule& fragment) const {
     return fragment.displaced(atom, delta);
   };
 
-  // Single displacements: +/-h along every coordinate. These serve both
-  // the Hessian diagonal and (with DFPT) the polarizability derivatives.
-  // Each displaced geometry is an independent SCF(+DFPT) job — the
-  // worker-level parallelism of the paper's hierarchy.
-  std::vector<double> e_plus(dim), e_minus(dim);
-  {
-    ThreadPool workers(options_.n_displacement_workers);
-    std::mutex accounting;
-    workers.parallel_for(dim, [&](std::size_t c) {
-      obs::ScopedSession obs_scope(obs);
-      obs::SpanGuard span(obs, "displacement.pair", "engine");
-      span.arg("coord", static_cast<double>(c));
-      dfpt::PhaseTimes times;
-      std::int64_t flops = 0;
-      const PointResult plus = evaluate_point(
-          displace(c, +h), options_, &scf0.density, options_.compute_dalpha,
-          gradient_mode, &times, &flops, cancel);
-      const PointResult minus = evaluate_point(
-          displace(c, -h), options_, &scf0.density, options_.compute_dalpha,
-          gradient_mode, &times, &flops, cancel);
-      e_plus[c] = plus.energy;
-      e_minus[c] = minus.energy;
-      if (gradient_mode) {
-        // Full Hessian column from the analytic gradients.
-        for (std::size_t r = 0; r < dim; ++r)
-          res.hessian(r, c) =
-              (plus.gradient[r] - minus.gradient[r]) / (2.0 * h);
-      } else {
-        res.hessian(c, c) =
-            (plus.energy - 2.0 * res.energy + minus.energy) / (h * h);
-      }
+  std::mutex accounting;  // guards the phase/flop/task tallies
 
-      for (int k = 0; k < 3; ++k)
-        res.dmu(k, c) = (plus.dipole[k] - minus.dipole[k]) / (2.0 * h);
+  // Single displacement of coordinate c: +/-h. These serve the Hessian
+  // diagonal (energy mode) or column c (gradient mode) and, with DFPT,
+  // column c of the polarizability derivatives.
+  auto run_single = [&](std::size_t c) {
+    obs::SpanGuard span(obs, "displacement.pair", "engine");
+    span.arg("coord", static_cast<double>(c));
+    dfpt::PhaseTimes times;
+    std::int64_t flops = 0;
+    const PointResult plus = evaluate_point(
+        displace(c, +h), options_, &scf0.density, options_.compute_dalpha,
+        gradient_mode, &times, &flops, cancel);
+    const PointResult minus = evaluate_point(
+        displace(c, -h), options_, &scf0.density, options_.compute_dalpha,
+        gradient_mode, &times, &flops, cancel);
+    if (gradient_mode) {
+      // Full Hessian column from the analytic gradients.
+      for (std::size_t r = 0; r < dim; ++r)
+        res.hessian(r, c) = (plus.gradient[r] - minus.gradient[r]) / (2.0 * h);
+    } else {
+      res.hessian(c, c) =
+          (plus.energy - 2.0 * res.energy + minus.energy) / (h * h);
+    }
 
-      if (options_.compute_dalpha) {
-        // Rows: xx, yy, zz, xy, xz, yz.
-        static constexpr int comp_i[6] = {0, 1, 2, 0, 0, 1};
-        static constexpr int comp_j[6] = {0, 1, 2, 1, 2, 2};
-        for (int k = 0; k < 6; ++k) {
-          res.dalpha(k, c) = (plus.alpha(comp_i[k], comp_j[k]) -
-                              minus.alpha(comp_i[k], comp_j[k])) /
-                             (2.0 * h);
-        }
+    for (int k = 0; k < 3; ++k)
+      res.dmu(k, c) = (plus.dipole[k] - minus.dipole[k]) / (2.0 * h);
+
+    if (options_.compute_dalpha) {
+      // Rows: xx, yy, zz, xy, xz, yz.
+      static constexpr int comp_i[6] = {0, 1, 2, 0, 0, 1};
+      static constexpr int comp_j[6] = {0, 1, 2, 1, 2, 2};
+      for (int k = 0; k < 6; ++k) {
+        res.dalpha(k, c) = (plus.alpha(comp_i[k], comp_j[k]) -
+                            minus.alpha(comp_i[k], comp_j[k])) /
+                           (2.0 * h);
       }
-      std::lock_guard<std::mutex> lock(accounting);
-      res.phase_times += times;
-      res.flops += flops;
-      res.displacement_tasks += 2;
-    });
-  }
+    }
+    std::lock_guard<std::mutex> lock(accounting);
+    res.phase_times += times;
+    res.flops += flops;
+    res.displacement_tasks += 2;
+  };
+
+  // Cross second derivative of coordinates a < b from four double
+  // displacements (energy mode only).
+  auto run_cross = [&](std::size_t a, std::size_t b) {
+    obs::SpanGuard span(obs, "displacement.cross", "engine");
+    span.arg("a", static_cast<double>(a)).arg("b", static_cast<double>(b));
+    auto energy = [&](double sa, double sb) {
+      Molecule m = displace(a, sa);
+      geom::Vec3 delta;
+      delta[static_cast<int>(b % 3)] = sb;
+      return evaluate_point(m.displaced(b / 3, delta), options_,
+                            &scf0.density, false, false, nullptr, nullptr,
+                            cancel)
+          .energy;
+    };
+    const double epp = energy(+h, +h);
+    const double epm = energy(+h, -h);
+    const double emp = energy(-h, +h);
+    const double emm = energy(-h, -h);
+    const double hab = (epp - epm - emp + emm) / (4.0 * h * h);
+    res.hessian(a, b) = hab;
+    res.hessian(b, a) = hab;
+    std::lock_guard<std::mutex> lock(accounting);
+    res.displacement_tasks += 4;
+  };
+
+  // One job list: every single displacement, then (energy mode) every
+  // cross pair. Each displaced geometry is an independent SCF(+DFPT) job
+  // — the worker tier of the paper's hierarchy — and each job writes only
+  // its own Hessian, dalpha and dmu slots, so any schedule gives bitwise
+  // the same result. The jobs run on the pool of the leader computing
+  // this fragment, or serially outside any pool.
+  std::vector<std::pair<std::size_t, std::size_t>> crosses;
+  if (!gradient_mode)
+    for (std::size_t a = 0; a < dim; ++a)
+      for (std::size_t b = a + 1; b < dim; ++b) crosses.emplace_back(a, b);
+  const std::function<void(std::size_t)> job = [&](std::size_t j) {
+    cancel.throw_if_cancelled();
+    // Helper threads do not inherit the caller's ambient session.
+    obs::ScopedSession obs_scope(obs);
+    if (j < dim)
+      run_single(j);
+    else
+      run_cross(crosses[j - dim].first, crosses[j - dim].second);
+  };
+  const std::size_t n_jobs = dim + crosses.size();
+  if (ThreadPool* const pool = ThreadPool::current())
+    pool->parallel_for(n_jobs, job);
+  else
+    for (std::size_t j = 0; j < n_jobs; ++j) job(j);
 
   if (gradient_mode) {
     // Symmetrize the FD-of-gradient Hessian (the antisymmetric residue is
@@ -204,41 +250,6 @@ FragmentResult ScfEngine::compute(const Molecule& fragment) const {
         res.hessian(a, b) = sym;
         res.hessian(b, a) = sym;
       }
-    return res;
-  }
-
-  // Cross second derivatives from double displacements (energy only).
-  for (std::size_t a = 0; a < dim; ++a) {
-    for (std::size_t b = a + 1; b < dim; ++b) {
-      cancel.throw_if_cancelled();
-      auto displaced2 = [&](double sa, double sb) {
-        Molecule m = displace(a, sa);
-        const std::size_t atom = b / 3;
-        geom::Vec3 delta;
-        delta[static_cast<int>(b % 3)] = sb;
-        return m.displaced(atom, delta);
-      };
-      const double epp =
-          evaluate_point(displaced2(+h, +h), options_, &scf0.density, false,
-                         false, nullptr, nullptr, cancel)
-              .energy;
-      const double epm =
-          evaluate_point(displaced2(+h, -h), options_, &scf0.density, false,
-                         false, nullptr, nullptr, cancel)
-              .energy;
-      const double emp =
-          evaluate_point(displaced2(-h, +h), options_, &scf0.density, false,
-                         false, nullptr, nullptr, cancel)
-              .energy;
-      const double emm =
-          evaluate_point(displaced2(-h, -h), options_, &scf0.density, false,
-                         false, nullptr, nullptr, cancel)
-              .energy;
-      const double hab = (epp - epm - emp + emm) / (4.0 * h * h);
-      res.hessian(a, b) = hab;
-      res.hessian(b, a) = hab;
-      res.displacement_tasks += 4;
-    }
   }
   return res;
 }

@@ -23,10 +23,6 @@ struct ScfEngineOptions {
   double displacement = 5e-3;
   /// Skip the polarizability-derivative pass (Hessian only).
   bool compute_dalpha = true;
-  /// Worker threads sharing one fragment's displacement loop — the third
-  /// tier of the paper's master/leader/worker hierarchy (each displaced
-  /// geometry is an independent SCF+DFPT job).
-  std::size_t n_displacement_workers = 1;
   /// Route each displacement job's SCF + DFPT GEMM work through one shared
   /// BatchedExecutor (same-shape grouping at phase barriers, SIMD
   /// kernels). false falls back to eager per-product execution — kept for
@@ -43,6 +39,9 @@ struct ScfEngineOptions {
 ///   - the Hessian from displaced energies (central second differences),
 ///   - d alpha / d r from displaced DFPT polarizabilities.
 /// SCF at each displaced geometry warm-starts from the equilibrium density.
+/// The displaced-geometry jobs run on ThreadPool::current() — the pool of
+/// the leader computing the fragment, the third tier of the paper's
+/// hierarchy — or serially when compute() is called outside any pool.
 class ScfEngine : public FragmentEngine {
  public:
   explicit ScfEngine(ScfEngineOptions options = {}) : options_(options) {}

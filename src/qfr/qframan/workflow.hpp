@@ -43,6 +43,7 @@ struct WorkflowOptions {
   bool batched_gemm = true;
   /// Leaders of the in-process hierarchy (threads).
   std::size_t n_leaders = 2;
+  /// Compute threads per leader (runtime::RuntimeOptions).
   std::size_t workers_per_leader = 1;
   /// Spectrum axis (cm^-1) and Gaussian smearing; the paper uses
   /// sigma = 5 cm^-1 for the gas-phase protein and 20 cm^-1 solvated.

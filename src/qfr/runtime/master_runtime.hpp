@@ -44,6 +44,9 @@ struct SupervisionOptions {
 /// Configuration of the in-process master/leader/worker hierarchy.
 struct RuntimeOptions {
   std::size_t n_leaders = 2;
+  /// Compute threads per leader: the leader thread plus a pool of
+  /// workers_per_leader - 1 helpers. They share the fragments of a task
+  /// and the displacement jobs of each fragment.
   std::size_t workers_per_leader = 1;
   /// Leader execution substrate. kThread (default) runs leaders as
   /// threads of the master process; kProcess forks one OS process per

@@ -147,7 +147,8 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
     }
   });
 
-  ThreadPool workers(options.workers_per_leader);
+  // The leader thread plus workers_per_leader - 1 helpers compute.
+  ThreadPool workers(options.workers_per_leader - 1);
   WallTimer busy;
   wire::StatsMsg stats;
 

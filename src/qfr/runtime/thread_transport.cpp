@@ -42,8 +42,10 @@ void leader_main(SweepDrive& drive, std::size_t l) {
   WallTimer busy;
   double busy_acc = 0.0;
   // Each leader owns a private worker pool (paper: statically assigned
-  // worker processes per leader).
-  ThreadPool workers(options.workers_per_leader);
+  // worker processes per leader). The leader thread computes too, so the
+  // pool adds workers_per_leader - 1 helpers; fragments of a task and the
+  // displacement jobs inside each fragment share all of them.
+  ThreadPool workers(options.workers_per_leader - 1);
 
   // Acquire a task and register its leases with the supervisor, so a
   // leader death between acquisition and delivery is recoverable.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "qfr/common/error.hpp"
@@ -119,6 +123,79 @@ TEST(ThreadPool, ManySmallTasks) {
     futs.push_back(pool.submit([&] { count++; }));
   for (auto& f : futs) f.get();
   EXPECT_EQ(count.load(), 500);
+}
+
+TEST(ThreadPool, ZeroHelpersRunsOnTheCaller) {
+  ThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(7, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(ThreadPool::current(), &pool);
+    hits[i]++;
+  });
+  for (int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+}
+
+TEST(ThreadPool, ThrowWaitsForEveryStartedIndex) {
+  // One index throws while the others are still running: parallel_for may
+  // rethrow only after they finish, since they write into the caller's
+  // frame. Indices not yet started when the throw lands are skipped.
+  ThreadPool pool(3);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  {
+    std::vector<int> written(8, 0);
+    EXPECT_THROW(pool.parallel_for(written.size(),
+                                   [&](std::size_t i) {
+                                     started++;
+                                     if (i == 0) {
+                                       std::this_thread::sleep_for(
+                                           std::chrono::milliseconds(5));
+                                       finished++;
+                                       throw std::runtime_error("index 0");
+                                     }
+                                     std::this_thread::sleep_for(
+                                         std::chrono::milliseconds(40));
+                                     written[i] = 1;
+                                     finished++;
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(started.load(), finished.load());
+  }
+  // Nothing still running may touch the destroyed vector.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(started.load(), finished.load());
+}
+
+TEST(ThreadPool, NestedParallelForFromEveryPoolThread) {
+  // Every compute thread (caller + 3 helpers) sits in an outer index at
+  // once and opens nested loops on the same pool; all must complete.
+  ThreadPool pool(3);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kInner = 50;
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<std::size_t> leaves{0};
+  std::set<std::thread::id> outer_threads;
+  std::mutex mutex;
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  pool.parallel_for(kThreads, [&](std::size_t) {
+    EXPECT_EQ(ThreadPool::current(), &pool);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      outer_threads.insert(std::this_thread::get_id());
+    }
+    arrived++;
+    while (arrived.load() < kThreads) std::this_thread::yield();
+    pool.parallel_for(kInner, [&](std::size_t) {
+      EXPECT_EQ(ThreadPool::current(), &pool);
+      pool.parallel_for(3, [&](std::size_t) { leaves++; });
+    });
+  });
+  EXPECT_EQ(outer_threads.size(), kThreads);
+  EXPECT_EQ(leaves.load(), kThreads * kInner * 3);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
 }
 
 TEST(Timer, MeasuresMonotonicallyIncreasingTime) {

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "qfr/chem/molecule.hpp"
 #include "qfr/chem/protein.hpp"
 #include "qfr/chem/topology.hpp"
+#include "qfr/common/thread_pool.hpp"
 #include "qfr/common/units.hpp"
 #include "qfr/engine/model_engine.hpp"
 #include "qfr/engine/scf_engine.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/la/eig.hpp"
+#include "qfr/obs/session.hpp"
+#include "qfr/obs/trace.hpp"
 #include "qfr/spectra/raman.hpp"
 
 namespace qfr::engine {
@@ -273,21 +277,51 @@ TEST(ScfEngine, GradientModeMatchesEnergyFdHessian) {
 }
 
 TEST(ScfEngine, DisplacementWorkersMatchSerial) {
-  // The worker-parallel displacement loop must be bitwise-equivalent in
-  // its derivative results (each job is independent).
+  // Computed inside a pool's loop, the displacement jobs (singles with
+  // DFPT, then the energy-FD cross pairs) spread over the caller and two
+  // helpers. Each job writes only its own slots, so every derivative is
+  // bitwise equal to the serial engine's.
+  const Molecule w = chem::make_water({0, 0, 0});
+  ScfEngineOptions opts;
+  opts.xc = scf::XcModel::kLda;
+  opts.hessian_mode = HessianMode::kEnergyFd;
+  const ScfEngine eng(opts);
+  ASSERT_EQ(ThreadPool::current(), nullptr);
+  const FragmentResult serial = eng.compute(w);
+  FragmentResult par;
+  ThreadPool pool(2);
+  pool.parallel_for(1, [&](std::size_t) { par = eng.compute(w); });
+  EXPECT_EQ(la::max_abs_diff(serial.hessian, par.hessian), 0.0);
+  EXPECT_EQ(la::max_abs_diff(serial.dalpha, par.dalpha), 0.0);
+  EXPECT_EQ(la::max_abs_diff(serial.dmu, par.dmu), 0.0);
+  EXPECT_EQ(serial.energy, par.energy);
+  EXPECT_EQ(serial.displacement_tasks, par.displacement_tasks);
+  EXPECT_EQ(serial.flops, par.flops);
+}
+
+TEST(ScfEngine, DisplacementSpansCoverSinglesAndCrossPairs) {
+  // One span per displacement job: a displacement.pair per coordinate and
+  // a displacement.cross per energy-FD cross pair.
   Molecule h2;
   h2.add(Element::H, {0, 0, 0});
   h2.add(Element::H, {0, 0, 1.35});
-  ScfEngineOptions serial_opts;
-  ScfEngineOptions par_opts;
-  par_opts.n_displacement_workers = 3;
-  const FragmentResult serial = ScfEngine(serial_opts).compute(h2);
-  const FragmentResult par = ScfEngine(par_opts).compute(h2);
-  EXPECT_LT(la::max_abs_diff(serial.dalpha, par.dalpha), 1e-12);
-  EXPECT_LT(la::max_abs_diff(serial.dmu, par.dmu), 1e-12);
-  for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_NEAR(serial.hessian(i, i), par.hessian(i, i), 1e-12);
-  EXPECT_EQ(serial.displacement_tasks, par.displacement_tasks);
+  ScfEngineOptions opts;
+  opts.xc = scf::XcModel::kLda;
+  opts.hessian_mode = HessianMode::kEnergyFd;
+  opts.compute_dalpha = false;
+  obs::Session session;
+  {
+    obs::ScopedSession scope(&session);
+    ScfEngine(opts).compute(h2);
+  }
+  std::size_t pairs = 0, crosses = 0;
+  for (const obs::TraceEvent& ev : session.tracer().events()) {
+    const std::string name = ev.name;
+    pairs += name == "displacement.pair";
+    crosses += name == "displacement.cross";
+  }
+  EXPECT_EQ(pairs, 6u);
+  EXPECT_EQ(crosses, 15u);
 }
 
 TEST(ScfEngine, WaterThreeVibrations) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,9 +20,12 @@
 #include "qfr/common/cancel.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/dfpt/response.hpp"
+#include "qfr/engine/scf_engine.hpp"
 #include "qfr/fault/chaos.hpp"
 #include "qfr/fault/fault_injector.hpp"
 #include "qfr/frag/fragmentation.hpp"
+#include "qfr/obs/session.hpp"
+#include "qfr/obs/trace.hpp"
 #include "qfr/runtime/master_runtime.hpp"
 #include "qfr/runtime/result_sink.hpp"
 #include "qfr/scf/scf.hpp"
@@ -133,6 +137,59 @@ class CountingSink : public ResultSink {
   std::vector<int> counts_;
   std::vector<double> energies_;
 };
+
+// ---------------------------------------------------------------------
+// A cancel that lands inside an LDA fragment's displacement loop, whose
+// jobs run on the leader's helper thread as well as the leader thread:
+// the CancelledError raised by a job must reach the leader as such, so
+// the fragment ends cancelled, not failed.
+// ---------------------------------------------------------------------
+
+std::size_t count_displacement_spans(const obs::Session& session) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : session.tracer().events()) {
+    const std::string name = ev.name;
+    n += name == "displacement.pair" || name == "displacement.cross";
+  }
+  return n;
+}
+
+TEST(Cancel, LdaDisplacementLoopOnLeaderPoolReportsCancelled) {
+  const auto frags = water_fragments(1);
+  engine::ScfEngineOptions eopts;
+  eopts.xc = scf::XcModel::kLda;
+  eopts.hessian_mode = engine::HessianMode::kEnergyFd;
+  const engine::ScfEngine eng(eopts);
+  auto compute = [&](const frag::Fragment& f) { return eng.compute(f.mol); };
+  // 9 singles + 36 cross pairs for one water.
+  constexpr std::size_t kJobs = 45;
+
+  obs::Session session;
+  common::CancelSource source;
+  RuntimeOptions ropts;
+  ropts.n_leaders = 1;
+  ropts.workers_per_leader = 2;
+  ropts.straggler_timeout = 600.0;  // recovery must come from the cancel
+  ropts.abort_on_failure = false;
+  ropts.cancel_token = source.token();
+  ropts.obs = &session;
+  const MasterRuntime rt(std::move(ropts));
+  std::thread firer([&] {
+    // Fire once the first displacement job has finished.
+    while (count_displacement_spans(session) == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    source.cancel();
+  });
+  const RunReport rep = rt.run(frags, compute);
+  firer.join();
+
+  EXPECT_TRUE(rep.cancelled);
+  EXPECT_EQ(rep.n_cancelled, 1u);
+  EXPECT_FALSE(rep.outcomes[0].completed);
+  EXPECT_EQ(rep.outcomes[0].reason, FailureReason::kCancelled);
+  // Jobs not yet started when the cancel landed were skipped.
+  EXPECT_LT(count_displacement_spans(session), kJobs);
+}
 
 // ---------------------------------------------------------------------
 // Supervisor-driven straggler tick (satellite regression: before the
