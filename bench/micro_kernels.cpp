@@ -3,28 +3,36 @@
 // strength reductions of Fig. 6 (real measured speedup, complementing the
 // modeled Fig. 9), grid density evaluation, the sparse Hessian matvec
 // driving the Lanczos solver, and the cell-list pair search behind the
-// generalized-concap construction.
+// generalized-concap construction, and the McMurchie-Davidson integral
+// layer every displaced geometry pays for: the Schwarz-screened ERI
+// tensor and the analytic RHF gradient.
 //
 // With --json <path> the binary skips google-benchmark and emits a small
 // deterministic, hand-timed qfr.bench.v1 document instead (the format
 // scripts/ci.sh archives as BENCH_kernels.json): ISA speedup, symmetric
-// strength reduction, and batched-vs-eager executor ratios.
+// strength reduction, batched-vs-eager executor ratios, and the ERI and
+// RHF-gradient build times of one water.
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "qfr/chem/molecule.hpp"
 #include "qfr/common/rng.hpp"
 #include "qfr/common/timer.hpp"
 #include "qfr/geom/cell_list.hpp"
+#include "qfr/integrals/eri.hpp"
+#include "qfr/integrals/gradients.hpp"
 #include "qfr/la/batched_executor.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/la/kernels.hpp"
 #include "qfr/la/sparse.hpp"
 #include "qfr/obs/export.hpp"
+#include "qfr/scf/scf.hpp"
 #include "qfr/spectra/lanczos.hpp"
 #include "qfr/xdev/strength_reduction.hpp"
 
@@ -215,6 +223,48 @@ void BM_BatchedExecutorFlush(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedExecutorFlush)->Arg(48)->Arg(96)->Arg(192);
 
+// Integral inputs of one water: its basis, and for the gradient a
+// converged RHF state.
+qfr::basis::BasisSet water_basis(qfr::scf::BasisKind kind) {
+  const auto w = qfr::chem::make_water({0, 0, 0});
+  return kind == qfr::scf::BasisKind::kB631g ? qfr::basis::BasisSet::b631g(w)
+                                             : qfr::basis::BasisSet::sto3g(w);
+}
+
+struct WaterRhf {
+  std::shared_ptr<qfr::scf::ScfContext> ctx;
+  qfr::scf::ScfResult state;
+};
+
+WaterRhf water_rhf() {
+  WaterRhf out;
+  out.ctx = std::make_shared<qfr::scf::ScfContext>(
+      qfr::scf::ScfContext::build(qfr::chem::make_water({0, 0, 0})));
+  out.state = qfr::scf::ScfSolver(out.ctx).solve();
+  return out;
+}
+
+void BM_EriTensor(benchmark::State& state) {
+  const auto bs = water_basis(state.range(0) == 0
+                                  ? qfr::scf::BasisKind::kSto3g
+                                  : qfr::scf::BasisKind::kB631g);
+  for (auto _ : state) {
+    const qfr::ints::EriTensor eri(bs);
+    benchmark::DoNotOptimize(eri(0, 0, 0, 0));
+  }
+}
+// 0 = STO-3G water, 1 = 6-31G water.
+BENCHMARK(BM_EriTensor)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_RhfGradient(benchmark::State& state) {
+  const WaterRhf w = water_rhf();
+  for (auto _ : state) {
+    const auto g = qfr::ints::rhf_gradient(*w.ctx, w.state);
+    benchmark::DoNotOptimize(g.data());
+  }
+}
+BENCHMARK(BM_RhfGradient)->Unit(benchmark::kMillisecond);
+
 // ---- deterministic --json mode ------------------------------------------
 
 // Seconds per call, best of `reps` timed blocks of enough calls to fill a
@@ -317,6 +367,25 @@ int run_json_mode(const std::string& path) {
             qfr::xdev::h1_expression_reduced(chi, gchi).data()); });
     report.samples.push_back({"h1.reduce.speedup/" + std::to_string(nbf),
                               t_naive / t_red, "x"});
+  }
+
+  // Integral layer of one displaced geometry.
+  {
+    const auto sto3g = water_basis(qfr::scf::BasisKind::kSto3g);
+    const auto b631g = water_basis(qfr::scf::BasisKind::kB631g);
+    const WaterRhf w = water_rhf();
+    const double t_sto3g = time_per_call(
+        [&] { benchmark::DoNotOptimize(qfr::ints::EriTensor(sto3g)(0, 0, 0, 0)); });
+    const double t_631g = time_per_call(
+        [&] { benchmark::DoNotOptimize(qfr::ints::EriTensor(b631g)(0, 0, 0, 0)); });
+    const double t_grad = time_per_call([&] {
+      benchmark::DoNotOptimize(
+          qfr::ints::rhf_gradient(*w.ctx, w.state).data());
+    });
+    report.samples.push_back({"eri.water_sto3g.ms", t_sto3g * 1e3, "ms"});
+    report.samples.push_back({"eri.water_631g.ms", t_631g * 1e3, "ms"});
+    report.samples.push_back(
+        {"rhf_gradient.water_sto3g.ms", t_grad * 1e3, "ms"});
   }
 
   std::ofstream os(path);

@@ -229,12 +229,15 @@ fi
 # the thread pool — the TSan leg), the leader-process wire protocol fuzz
 # (hostile frames must fail typed, never UB — the ASan/UBSan leg exists
 # for exactly this), and the GEMM kernel/executor fuzz (out-of-bounds
-# packing under ASan, ISA-dispatch atomics under TSan), and the common
+# packing under ASan, ISA-dispatch atomics under TSan), the common
 # suite, whose nestable caller-participating ThreadPool carries every
-# leader's fragments and displacement jobs.
+# leader's fragments and displacement jobs, and the integral and gradient
+# suites, whose fixed-size Hermite tables must stay in bounds (ASan/UBSan)
+# and whose per-thread Hermite scratch runs concurrently on every worker
+# thread (TSan).
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
-                  test_wire test_common)
+                  test_wire test_common test_integrals test_gradients)
 
 for SAN in address undefined thread; do
   case "$SAN" in

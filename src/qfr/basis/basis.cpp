@@ -1,5 +1,6 @@
 #include "qfr/basis/basis.hpp"
 
+#include <array>
 #include <cmath>
 #include <functional>
 
@@ -169,11 +170,32 @@ BasisSet BasisSet::assemble(
   return bs;
 }
 
-std::vector<CartPowers> cartesian_powers(int l) {
-  std::vector<CartPowers> out;
-  for (int i = l; i >= 0; --i)
-    for (int j = l - i; j >= 0; --j) out.push_back({i, j, l - i - j});
+namespace {
+
+// Number of Cartesian components of all momenta below l.
+constexpr std::size_t components_below(int l) {
+  return static_cast<std::size_t>(l * (l + 1) * (l + 2) / 6);
+}
+
+// The components of l = 0..kMaxCartesianL, concatenated in order of l.
+constexpr auto kCartesianTable = [] {
+  std::array<CartPowers, components_below(kMaxCartesianL + 1)> out{};
+  std::size_t n = 0;
+  for (int l = 0; l <= kMaxCartesianL; ++l)
+    for (int i = l; i >= 0; --i)
+      for (int j = l - i; j >= 0; --j) out[n++] = {i, j, l - i - j};
   return out;
+}();
+
+}  // namespace
+
+std::span<const CartPowers> cartesian_powers(int l) {
+  QFR_REQUIRE(l <= kMaxCartesianL, "cartesian_powers: angular momentum "
+                                       << l << " exceeds " << kMaxCartesianL);
+  if (l < 0) return {};
+  return std::span<const CartPowers>(kCartesianTable)
+      .subspan(components_below(l), components_below(l + 1) -
+                                        components_below(l));
 }
 
 double primitive_norm(double alpha, int i, int j, int k) {

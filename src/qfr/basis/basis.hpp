@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "qfr/chem/molecule.hpp"
@@ -35,9 +36,14 @@ struct CartPowers {
   int i = 0, j = 0, k = 0;
 };
 
+/// Highest angular momentum cartesian_powers() tabulates.
+inline constexpr int kMaxCartesianL = 6;
+
 /// Enumerates Cartesian components of angular momentum l in canonical
-/// order (x^l first): for p -> x, y, z.
-std::vector<CartPowers> cartesian_powers(int l);
+/// order (x^l first): for p -> x, y, z. The span views a static table, so
+/// the call allocates nothing; it is empty for l < 0 and l must not exceed
+/// kMaxCartesianL.
+std::span<const CartPowers> cartesian_powers(int l);
 
 /// A molecule's basis: the ordered list of shells plus bookkeeping.
 ///

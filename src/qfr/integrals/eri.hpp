@@ -10,8 +10,10 @@ namespace qfr::ints {
 
 /// Compute the block of integrals (ab|cd) for one shell quartet into
 /// `out`, flattened as [fa][fb][fc][fd] (McMurchie-Davidson; arbitrary
-/// angular momenta within the Hermite table limits). Exposed for the
-/// derivative-integral machinery in gradients.cpp.
+/// angular momenta within the Hermite table limits). Builds the two
+/// shell-pair term lists and contracts them; EriTensor and rhf_gradient
+/// call the same kernel with lists cached per shell pair, so every value
+/// here is bitwise equal to theirs.
 void eri_shell_quartet(const basis::Shell& a, const basis::Shell& b,
                        const basis::Shell& c, const basis::Shell& d,
                        std::vector<double>& out);

@@ -1,13 +1,14 @@
 #include "qfr/integrals/gradients.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
-#include "qfr/integrals/eri.hpp"
 #include "qfr/integrals/hermite.hpp"
+#include "qfr/integrals/shell_pair.hpp"
 #include "qfr/la/blas.hpp"
 
 namespace qfr::ints {
@@ -207,21 +208,34 @@ void accumulate_hellmann_feynman(const Shell& a, const Shell& b,
     }
 }
 
-// Bra-derivative ERI blocks d1(ab|cd)/dA_c, flattened [fa][fb][fc][fd].
-std::array<std::vector<double>, 3> eri_bra_derivative(const Shell& a,
-                                                      const Shell& b,
-                                                      const Shell& c,
-                                                      const Shell& d) {
-  const auto pw_a = basis::cartesian_powers(a.l);
-  const std::size_t nb = b.n_functions(), nc = c.n_functions(),
-                    nd = d.n_functions();
-  const Shell up = raised_shell(a);
-  std::vector<double> up_block, down_block;
-  eri_shell_quartet(up, b, c, d, up_block);
-  if (a.l > 0) eri_shell_quartet(lowered_shell(a), b, c, d, down_block);
+// Hermite term lists of the shells d/dA_c splits a bra shell into: the
+// raised shell, and the lowered one for l > 0 (empty otherwise).
+struct BraDerivativeTerms {
+  detail::ShellPairTerms up;
+  detail::ShellPairTerms down;
+};
 
+// Per-quartet buffers of eri_bra_derivative, reused across quartets.
+struct EriDerivativeScratch {
+  std::vector<double> up_block, down_block;
   std::array<std::vector<double>, 3> out;
-  const std::size_t tail = nb * nc * nd;
+};
+
+// Bra-derivative ERI blocks d1(ab|cd)/dA_c, flattened [fa][fb][fc][fd],
+// into scratch.out.
+void eri_bra_derivative(const Shell& a, const Shell& b,
+                        const BraDerivativeTerms& bra,
+                        const detail::ShellPairTerms& ket,
+                        EriDerivativeScratch& scratch) {
+  const auto pw_a = basis::cartesian_powers(a.l);
+  const int up_l = a.l + 1;
+  const std::vector<double>& up_block = scratch.up_block;
+  const std::vector<double>& down_block = scratch.down_block;
+  detail::contract_quartet(bra.up, ket, scratch.up_block);
+  if (a.l > 0) detail::contract_quartet(bra.down, ket, scratch.down_block);
+
+  auto& out = scratch.out;
+  const std::size_t tail = b.n_functions() * ket.n_fn;
   for (auto& v : out) v.assign(pw_a.size() * tail, 0.0);
   for (std::size_t fa = 0; fa < pw_a.size(); ++fa) {
     const auto& q = pw_a[fa];
@@ -229,7 +243,7 @@ std::array<std::vector<double>, 3> eri_bra_derivative(const Shell& a,
     for (int comp = 0; comp < 3; ++comp) {
       int up_pw[3] = {q.i, q.j, q.k};
       up_pw[comp] += 1;
-      const std::size_t fu = cart_index(up.l, up_pw[0], up_pw[1], up_pw[2]);
+      const std::size_t fu = cart_index(up_l, up_pw[0], up_pw[1], up_pw[2]);
       double* dst = out[comp].data() + fa * tail;
       const double* src_up = up_block.data() + fu * tail;
       for (std::size_t t = 0; t < tail; ++t) dst[t] = src_up[t];
@@ -244,7 +258,6 @@ std::array<std::vector<double>, 3> eri_bra_derivative(const Shell& a,
       }
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -312,6 +325,25 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
   // gradients.hpp's unit tests).
   const std::size_t ns = bs.n_shells();
 
+  // Hermite term lists, built once per shell pair and reused by the
+  // Schwarz pass and all ns^4 derivative quartets: the raised/lowered bra
+  // lists of every ordered pair (a, b) and the ket list of every ordered
+  // pair (c, d).
+  using detail::PairSide;
+  std::vector<BraDerivativeTerms> bra_deriv(ns * ns);
+  std::vector<detail::ShellPairTerms> ket(ns * ns);
+  for (std::size_t sa = 0; sa < ns; ++sa)
+    for (std::size_t sb = 0; sb < ns; ++sb) {
+      const Shell& a = bs.shell(sa);
+      const Shell& b = bs.shell(sb);
+      auto& bd = bra_deriv[sa * ns + sb];
+      bd.up = detail::make_pair_terms(raised_shell(a), b, PairSide::kBra);
+      if (a.l > 0)
+        bd.down =
+            detail::make_pair_terms(lowered_shell(a), b, PairSide::kBra);
+      ket[sa * ns + sb] = detail::make_pair_terms(a, b, PairSide::kKet);
+    }
+
   // Schwarz bounds for screening the quartic loop (the derivative
   // integrals obey essentially the same decay as the integrals).
   Matrix schwarz(ns, ns);
@@ -321,7 +353,9 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
       for (std::size_t sb = 0; sb <= sa; ++sb) {
         const Shell& a = bs.shell(sa);
         const Shell& b = bs.shell(sb);
-        eri_shell_quartet(a, b, a, b, block);
+        detail::contract_quartet(
+            detail::make_pair_terms(a, b, PairSide::kBra),
+            ket[sa * ns + sb], block);
         double mx = 0.0;
         for (double v : block) mx = std::max(mx, std::fabs(v));
         schwarz(sa, sb) = schwarz(sb, sa) = std::sqrt(mx);
@@ -329,6 +363,7 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
   }
   constexpr double kScreen = 1e-11;
 
+  EriDerivativeScratch scratch;
   for (std::size_t sa = 0; sa < ns; ++sa) {
     const Shell& a = bs.shell(sa);
     for (std::size_t sb = 0; sb < ns; ++sb) {
@@ -338,7 +373,9 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
         for (std::size_t sd = 0; sd < ns; ++sd) {
           const Shell& d = bs.shell(sd);
           if (schwarz(sa, sb) * schwarz(sc, sd) < kScreen) continue;
-          const auto deriv = eri_bra_derivative(a, b, c, d);
+          eri_bra_derivative(a, b, bra_deriv[sa * ns + sb],
+                             ket[sc * ns + sd], scratch);
+          const auto& deriv = scratch.out;
           std::size_t idx = 0;
           for (std::size_t fa = 0; fa < a.n_functions(); ++fa)
             for (std::size_t fb = 0; fb < b.n_functions(); ++fb)

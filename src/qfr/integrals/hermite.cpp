@@ -1,6 +1,8 @@
 #include "qfr/integrals/hermite.hpp"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "qfr/common/error.hpp"
 #include "qfr/integrals/boys.hpp"
@@ -9,7 +11,7 @@ namespace qfr::ints {
 
 Hermite1D::Hermite1D(double a, double b, double ax, double bx, int max_i,
                      int max_j)
-    : max_j_(max_j), max_t_(max_i + max_j), p_(a + b) {
+    : p_(a + b) {
   QFR_ASSERT(max_i >= 0 && max_j >= 0 && max_i <= kMaxAm && max_j <= kMaxAm,
              "Hermite1D angular momentum out of range");
   px_ = (a * ax + b * bx) / p_;
@@ -18,9 +20,6 @@ Hermite1D::Hermite1D(double a, double b, double ax, double bx, int max_i,
   const double xpa = px_ - ax;
   const double xpb = px_ - bx;
 
-  table_.assign(static_cast<std::size_t>(max_i + 1) * (max_j + 1) *
-                    (max_t_ + 1),
-                0.0);
   auto at = [&](int i, int j, int t) -> double& {
     return table_[idx(i, j, t)];
   };
@@ -50,28 +49,62 @@ Hermite1D::Hermite1D(double a, double b, double ax, double bx, int max_i,
       }
 }
 
-HermiteR::HermiteR(double p, const geom::Vec3& pc, int t_max)
-    : t_max_(t_max) {
+namespace {
+
+// Per-thread workspace of HermiteR: the auxiliary R^n tensors for n >= 1
+// and the Boys values. Grown on first use and reused afterwards, so a
+// HermiteR construction allocates nothing once a thread has warmed up.
+struct HermiteRScratch {
+  std::vector<double> aux;
+  std::array<double, HermiteR::kMaxOrder + 1> boys{};
+};
+
+HermiteRScratch& hermite_r_scratch() {
+  thread_local HermiteRScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+HermiteR::HermiteR(double p, const geom::Vec3& pc, int t_max) {
+  QFR_ASSERT(t_max >= 0 && t_max <= kMaxOrder,
+             "HermiteR order " << t_max << " outside [0, " << kMaxOrder
+                               << "] (4 * kMaxAm)");
+  HermiteRScratch& scratch = hermite_r_scratch();
   const double r2 = pc.norm2();
   // Auxiliary tensors R^n_{tuv}; start from Boys values and lower n.
-  std::vector<double> fm(static_cast<std::size_t>(t_max) + 1);
+  std::span<double> fm(scratch.boys.data(),
+                       static_cast<std::size_t>(t_max) + 1);
   boys(t_max, p * r2, fm);
 
+  // Level n >= 1 of aux[n][t][u][v] lives in the scratch tensor; level 0
+  // is written straight into table_.
   const auto n1 = static_cast<std::size_t>(t_max + 1);
-  // aux[n][t][u][v]
-  std::vector<double> aux(n1 * n1 * n1 * n1, 0.0);
-  auto at = [&](int n, int t, int u, int v) -> double& {
-    return aux[((static_cast<std::size_t>(n) * n1 + t) * n1 + u) * n1 + v];
+  if (scratch.aux.size() < n1 * n1 * n1 * n1)
+    scratch.aux.resize(n1 * n1 * n1 * n1);
+  double* const aux = scratch.aux.data();
+  auto level = [&](int n) -> double* {
+    return n == 0 ? table_.data() : aux + n * n1 * n1 * n1;
+  };
+  auto tu_strides = [&](int n) -> std::array<std::size_t, 2> {
+    if (n == 0) return {kStride * kStride, kStride};
+    return {n1 * n1, n1};
   };
 
   double pref = 1.0;
   for (int n = 0; n <= t_max; ++n) {
-    at(n, 0, 0, 0) = pref * fm[n];
+    level(n)[0] = pref * fm[n];
     pref *= -2.0 * p;
   }
 
   // R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + X_PC R^{n+1}_{t,u,v} etc.
   for (int n = t_max - 1; n >= 0; --n) {
+    double* const dst = level(n);
+    const auto [dt, du] = tu_strides(n);
+    const double* const src = level(n + 1);
+    auto at = [&](int t, int u, int v) {
+      return src[(static_cast<std::size_t>(t) * n1 + u) * n1 + v];
+    };
     const int span = t_max - n;
     for (int t = 0; t <= span; ++t)
       for (int u = 0; u + t <= span; ++u)
@@ -79,24 +112,18 @@ HermiteR::HermiteR(double p, const geom::Vec3& pc, int t_max)
           if (t + u + v == 0) continue;
           double val = 0.0;
           if (t > 0) {
-            val = pc.x * at(n + 1, t - 1, u, v);
-            if (t > 1) val += (t - 1.0) * at(n + 1, t - 2, u, v);
+            val = pc.x * at(t - 1, u, v);
+            if (t > 1) val += (t - 1.0) * at(t - 2, u, v);
           } else if (u > 0) {
-            val = pc.y * at(n + 1, t, u - 1, v);
-            if (u > 1) val += (u - 1.0) * at(n + 1, t, u - 2, v);
+            val = pc.y * at(t, u - 1, v);
+            if (u > 1) val += (u - 1.0) * at(t, u - 2, v);
           } else {
-            val = pc.z * at(n + 1, t, u, v - 1);
-            if (v > 1) val += (v - 1.0) * at(n + 1, t, u, v - 2);
+            val = pc.z * at(t, u, v - 1);
+            if (v > 1) val += (v - 1.0) * at(t, u, v - 2);
           }
-          at(n, t, u, v) = val;
+          dst[t * dt + u * du + v] = val;
         }
   }
-
-  table_.assign(n1 * n1 * n1, 0.0);
-  for (int t = 0; t <= t_max; ++t)
-    for (int u = 0; u + t <= t_max; ++u)
-      for (int v = 0; v + t + u <= t_max; ++v)
-        table_[idx(t, u, v)] = at(0, t, u, v);
 }
 
 }  // namespace qfr::ints

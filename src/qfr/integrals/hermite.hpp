@@ -1,7 +1,7 @@
 #pragma once
 
 #include <array>
-#include <vector>
+#include <cstddef>
 
 #include "qfr/geom/vec3.hpp"
 
@@ -15,7 +15,8 @@ inline constexpr int kMaxAm = 3;
 /// (McMurchie-Davidson): the product of two 1D Gaussians expands as
 /// G_i(a, x-Ax) G_j(b, x-Bx) = sum_t E_t^{ij} Lambda_t(p, x-Px).
 ///
-/// Indexed as e(i, j, t); entries with t > i + j are zero.
+/// Indexed as e(i, j, t); entries with t > i + j are zero. The table is a
+/// fixed-size member, so constructing one never touches the heap.
 class Hermite1D {
  public:
   /// a, b: exponents; ax, bx: 1D centers.
@@ -30,38 +31,53 @@ class Hermite1D {
   double center() const { return px_; } ///< combined center P
 
  private:
-  std::size_t idx(int i, int j, int t) const {
-    return (static_cast<std::size_t>(i) * (max_j_ + 1) +
-            static_cast<std::size_t>(j)) *
-               (max_t_ + 1) +
+  static constexpr std::size_t kDim = kMaxAm + 1;
+  static constexpr std::size_t kTDim = 2 * kMaxAm + 1;
+  static std::size_t idx(int i, int j, int t) {
+    return (static_cast<std::size_t>(i) * kDim + static_cast<std::size_t>(j)) *
+               kTDim +
            static_cast<std::size_t>(t);
   }
-  int max_j_ = 0;
-  int max_t_ = 0;
   double p_ = 0.0;
   double px_ = 0.0;
-  std::vector<double> table_;
+  // Only entries with t <= i + j within the constructed range are written.
+  std::array<double, kDim * kDim * kTDim> table_;
 };
 
 /// Hermite Coulomb repulsion tensor R_{tuv} = R^0_{tuv}(p, R_PC), built by
 /// the standard auxiliary recursion over R^n. Entries cover
-/// 0 <= t+u+v <= t_max.
+/// 0 <= t+u+v <= t_max, with t_max at most kMaxOrder (an electron-repulsion
+/// quartet of kMaxAm shells).
+///
+/// The table is a fixed-size member laid out with constant strides, so a
+/// caller can precompute flat offsets with index(): index(t, u, v) +
+/// index(t', u', v') == index(t + t', u + u', v + v'). The auxiliary R^n
+/// tensor and the Boys values live in per-thread scratch that is reused
+/// across constructions.
 class HermiteR {
  public:
+  static constexpr int kMaxOrder = 4 * kMaxAm;
+
   HermiteR(double p, const geom::Vec3& pc, int t_max);
 
-  double operator()(int t, int u, int v) const {
-    return table_[idx(t, u, v)];
-  }
-
- private:
-  std::size_t idx(int t, int u, int v) const {
-    const auto n = static_cast<std::size_t>(t_max_ + 1);
-    return (static_cast<std::size_t>(t) * n + static_cast<std::size_t>(u)) * n +
+  static constexpr std::size_t index(int t, int u, int v) {
+    return (static_cast<std::size_t>(t) * kStride +
+            static_cast<std::size_t>(u)) *
+               kStride +
            static_cast<std::size_t>(v);
   }
-  int t_max_ = 0;
-  std::vector<double> table_;
+
+  double operator()(int t, int u, int v) const {
+    return table_[index(t, u, v)];
+  }
+
+  /// Entry at a flat offset built from index().
+  double at(std::size_t flat) const { return table_[flat]; }
+
+ private:
+  static constexpr std::size_t kStride = kMaxOrder + 1;
+  // Only entries with t + u + v <= t_max are written.
+  std::array<double, kStride * kStride * kStride> table_;
 };
 
 }  // namespace qfr::ints

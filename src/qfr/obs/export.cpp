@@ -92,6 +92,8 @@ Json build_run_report(const Session& session,
   }
   {
     Json scf = Json::object();
+    scf["context_seconds"] =
+        Json(histogram_sum(snap, "scf.context.seconds"));
     scf["solve_seconds"] = Json(histogram_sum(snap, "scf.solve.seconds"));
     scf["iterations"] = histogram_or_empty(snap, "scf.iterations");
     root["scf"] = std::move(scf);

@@ -118,15 +118,22 @@ class Diis {
 
 ScfContext ScfContext::build(const chem::Molecule& mol, BasisKind basis) {
   QFR_REQUIRE(!mol.empty(), "cannot run SCF on an empty molecule");
+  // Integral set-up is paid once per displaced geometry; the span and the
+  // histogram put it beside scf.solve in the trace and the run report.
+  QFR_TRACE_SPAN("scf.context", "integrals");
+  const WallTimer timer;
   basis::BasisSet bs = (basis == BasisKind::kB631g)
                            ? basis::BasisSet::b631g(mol)
                            : basis::BasisSet::sto3g(mol);
-  return ScfContext{mol,
-                    bs,
-                    ints::overlap(bs),
-                    ints::core_hamiltonian(bs, mol),
-                    ints::EriTensor(bs),
-                    ints::dipole(bs, charge_center(mol))};
+  ScfContext ctx{mol,
+                 bs,
+                 ints::overlap(bs),
+                 ints::core_hamiltonian(bs, mol),
+                 ints::EriTensor(bs),
+                 ints::dipole(bs, charge_center(mol))};
+  if (obs::Session* const obs = obs::current())
+    obs->metrics().histogram("scf.context.seconds").observe(timer.seconds());
+  return ctx;
 }
 
 geom::Vec3 dipole_moment(const ScfContext& ctx, const Matrix& density) {

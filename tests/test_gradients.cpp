@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <future>
+#include <latch>
+#include <span>
+#include <vector>
 
 #include "qfr/chem/molecule.hpp"
+#include "qfr/common/thread_pool.hpp"
+#include "qfr/integrals/eri.hpp"
 #include "qfr/integrals/gradients.hpp"
 #include "qfr/scf/scf.hpp"
 
@@ -128,6 +135,58 @@ TEST(RhfGradient, SplitValenceBasisMatchesFiniteDifference) {
   };
   const double fd = (energy_at(+h) - energy_at(-h)) / (2.0 * h);
   EXPECT_NEAR(ana[5], fd, 1e-6);
+}
+
+// Every value of an ERI tensor and a gradient, as raw bytes.
+struct IntegralBytes {
+  std::vector<double> eri;
+  la::Vector grad;
+};
+
+IntegralBytes integral_bytes(const scf::ScfContext& ctx,
+                             const scf::ScfResult& res) {
+  IntegralBytes out;
+  const EriTensor eri(ctx.bs);
+  const std::size_t n = eri.n_functions();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t k = 0; k < n; ++k)
+        for (std::size_t l = 0; l < n; ++l)
+          out.eri.push_back(eri(i, j, k, l));
+  out.grad = rhf_gradient(ctx, res);
+  return out;
+}
+
+bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(RhfGradient, ConcurrentBuildsMatchSerialBitwise) {
+  // The Hermite kernels keep per-thread scratch; builds running at once on
+  // every thread of a pool must not disturb each other.
+  const Molecule w = chem::make_water({0.1, -0.2, 0.3}, 0.7);
+  auto ctx = std::make_shared<scf::ScfContext>(
+      scf::ScfContext::build(w, scf::BasisKind::kB631g));
+  const auto res = scf::ScfSolver(ctx).solve();
+  const IntegralBytes serial = integral_bytes(*ctx, res);
+
+  constexpr std::size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  // Each task holds its helper until all are running, so the four builds
+  // overlap on four distinct threads.
+  std::latch all_started(kThreads);
+  std::vector<std::future<IntegralBytes>> futures;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    futures.push_back(pool.submit([&] {
+      all_started.arrive_and_wait();
+      return integral_bytes(*ctx, res);
+    }));
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const IntegralBytes got = futures[t].get();
+    EXPECT_TRUE(bitwise_equal(got.eri, serial.eri)) << "thread task " << t;
+    EXPECT_TRUE(bitwise_equal(got.grad, serial.grad)) << "thread task " << t;
+  }
 }
 
 TEST(RhfGradient, RequiresConvergedScf) {

@@ -477,6 +477,7 @@ TEST(Export, RunReportJsonIsWellFormedAndCoversSections) {
   session.metrics().histogram("dfpt.phase.v1.seconds").observe(0.3);
   session.metrics().histogram("dfpt.phase.h1.seconds").observe(0.4);
   session.metrics().histogram("cpscf.solve.seconds").observe(1.05);
+  session.metrics().histogram("scf.context.seconds").observe(0.25);
 
   runtime::RunReport sweep;
   sweep.n_tasks = 3;
@@ -497,6 +498,8 @@ TEST(Export, RunReportJsonIsWellFormedAndCoversSections) {
   EXPECT_NEAR(dfpt->find("phases")->find("sum_seconds")->as_double(), 1.0,
               1e-9);
   EXPECT_NEAR(dfpt->find("solve_seconds")->as_double(), 1.05, 1e-9);
+  EXPECT_NEAR(parsed->find("scf")->find("context_seconds")->as_double(), 0.25,
+              1e-9);
   const Json* leaders = parsed->find("leaders");
   ASSERT_NE(leaders, nullptr);
   ASSERT_EQ(leaders->size(), 1u);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "qfr/chem/molecule.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/la/blas.hpp"
+#include "qfr/obs/session.hpp"
+#include "qfr/obs/trace.hpp"
 #include "qfr/scf/scf.hpp"
 
 namespace qfr::scf {
@@ -26,6 +29,23 @@ ScfResult run(const Molecule& m, XcModel xc = XcModel::kHartreeFock) {
   opts.xc = xc;
   ScfSolver solver(ctx, opts);
   return solver.solve();
+}
+
+TEST(ScfContext, BuildRecordsIntegralSpanAndHistogram) {
+  obs::Session session;
+  obs::ScopedSession ambient(&session);
+  const auto ctx = ScfContext::build(chem::make_water({0, 0, 0}));
+  const auto snap =
+      session.metrics().histogram("scf.context.seconds").snapshot();
+  EXPECT_EQ(snap.count, 1);
+  EXPECT_GT(snap.sum, 0.0);
+  std::size_t spans = 0;
+  for (const auto& ev : session.tracer().events())
+    if (std::string(ev.name) == "scf.context") {
+      ++spans;
+      EXPECT_EQ(std::string(ev.cat), "integrals");
+    }
+  EXPECT_EQ(spans, 1u);
 }
 
 TEST(ScfHf, H2EnergyMatchesSzabo) {
