@@ -1,7 +1,8 @@
 // Resumable sweep: demonstrate the fault-tolerant fragment sweep and its
 // incremental checkpoint. A flaky engine kills the first run partway
 // through; the second run resumes from the checkpoint and recomputes only
-// the missing fragments, producing the identical spectrum.
+// the missing fragments. A third, uninterrupted run checks that the resumed
+// spectrum is bitwise identical and prints resume_identical=1 (or 0).
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -9,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "qfr/chem/molecule.hpp"
@@ -93,5 +95,17 @@ int main() {
   }
   std::printf("       dominant band at %.1f cm^-1 (intensity %.3g)\n", where,
               peak);
-  return 0;
+
+  // Run 3: the same sweep without interruption or checkpoint.
+  options.checkpoint_path.clear();
+  options.resume = false;
+  const qframan::WorkflowResult reference =
+      qframan::RamanWorkflow(options).run(system, FlakyEngine(/*budget=*/-1));
+  const bool identical =
+      reference.spectrum.intensity.size() == result.spectrum.intensity.size() &&
+      std::memcmp(reference.spectrum.intensity.data(),
+                  result.spectrum.intensity.data(),
+                  result.spectrum.intensity.size() * sizeof(double)) == 0;
+  std::printf("resume_identical=%d\n", identical ? 1 : 0);
+  return identical ? 0 : 1;
 }

@@ -45,6 +45,10 @@
 # Stage 5 (cache smoke): the solvated-protein example with the result
 #   cache enabled must report a nonzero cache_hit_rate — the end-to-end
 #   proof that canonicalization recognizes the box's rigid water copies.
+# Stage 5b (resume smoke): the resumable_sweep example kills a sweep
+#   partway, resumes it from its checkpoint, and must print
+#   resume_identical=1 — the resumed spectrum bitwise equal to an
+#   uninterrupted run's.
 # Stage 6 (scalar-fallback divergence): a -DQFR_NO_AVX2=ON build runs the
 #   kernels-labeled suites and dumps the fuzz corpus checksums; they must
 #   agree with the vectorized build's corpus within tolerance — the gate
@@ -187,6 +191,13 @@ HIT_RATE=$(build/examples/solvated_protein 10 16 |
 python3 -c "import sys; rate = float('${HIT_RATE:-0}'); sys.exit(0 if rate > 0 else 1)" ||
   { echo "cache smoke failed: hit rate '${HIT_RATE:-}' not > 0"; exit 1; }
 echo "cache_hit_rate=${HIT_RATE} ok"
+
+echo "== resume smoke: a resumed sweep must reproduce the uninterrupted spectrum =="
+RESUME=$(build/examples/resumable_sweep 2>/dev/null |
+  sed -n 's/^resume_identical=//p') || true
+[[ "${RESUME:-}" == "1" ]] ||
+  { echo "resume smoke failed: resume_identical='${RESUME:-}'"; exit 1; }
+echo "resume_identical=1 ok"
 
 echo "== scalar-fallback divergence: QFR_NO_AVX2 vs vectorized kernels =="
 # Kernels lane of the vectorized tree (also dumps the fuzz corpus).

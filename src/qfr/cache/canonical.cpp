@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "qfr/common/error.hpp"
+#include "qfr/common/record_log.hpp"
 #include "qfr/la/eig.hpp"
 #include "qfr/la/matrix.hpp"
 
@@ -335,13 +336,8 @@ namespace {
 constexpr std::uint64_t kMaxNsBytes = 1u << 12;
 constexpr std::uint64_t kMaxKeyAtoms = 1u << 20;
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-bool get_u64(std::istream& is, std::uint64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
+using common::get_u64;
+using common::put_u64;
 
 }  // namespace
 

@@ -14,8 +14,8 @@
 #include <unistd.h>
 
 #include "qfr/common/cancel.hpp"
-#include "qfr/common/crc32.hpp"
 #include "qfr/common/error.hpp"
+#include "qfr/common/record_log.hpp"
 #include "qfr/frag/checkpoint.hpp"
 #include "qfr/obs/session.hpp"
 #include "qfr/obs/trace.hpp"
@@ -24,11 +24,9 @@ namespace qfr::cache {
 
 namespace {
 
-constexpr std::uint64_t kStoreMagic = 0x43524651u;  // "QFRC"
-constexpr std::uint64_t kStoreVersion = 1;
-constexpr std::uint64_t kMaxKeyBytes = 1ull << 24;
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 32;
-constexpr std::uint64_t kHeaderBytes = 2 * sizeof(std::uint64_t);
+// Version 2: one record-log body per entry, [key][result record].
+constexpr common::LogFormat kStoreFormat{0x43524651u /* "QFRC" */, 2,
+                                         "result-cache store"};
 
 /// Scoped flock on the store's lockfile. The lockfile (not the store
 /// itself) is the flock target because compaction replaces the store via
@@ -44,14 +42,6 @@ struct FileLockGuard {
   FileLockGuard& operator=(const FileLockGuard&) = delete;
 };
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-bool get_u64(std::istream& is, std::uint64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
-
 bool all_finite(const la::Matrix& m) {
   const double* p = m.data();
   for (std::size_t i = 0; i < m.size(); ++i)
@@ -59,28 +49,12 @@ bool all_finite(const la::Matrix& m) {
   return true;
 }
 
-/// One CRC-framed store record: [key_len][payload_len][key][payload][crc].
-/// The CRC covers key + payload together, so damage to either side is
-/// detected; the two length fields make a damaged record skippable.
-void put_frame(std::ostream& os, const FragmentKey& key,
-               const engine::FragmentResult& canonical) {
-  std::ostringstream kos(std::ios::binary);
-  write_key(kos, key);
-  std::ostringstream pos(std::ios::binary);
-  frag::write_result_record(pos, canonical);
-  const std::string kb = kos.str();
-  const std::string pb = pos.str();
-
-  put_u64(os, static_cast<std::uint64_t>(kb.size()));
-  put_u64(os, static_cast<std::uint64_t>(pb.size()));
-  os.write(kb.data(), static_cast<std::streamsize>(kb.size()));
-  os.write(pb.data(), static_cast<std::streamsize>(pb.size()));
-  // The CRC is taken over key and payload together (the one-shot helper
-  // wants a single buffer), so damage to either side fails the check.
-  std::string joined;
-  joined.reserve(kb.size() + pb.size());
-  joined.append(kb).append(pb);
-  put_u64(os, common::crc32(joined.data(), joined.size()));
+std::string entry_body(const FragmentKey& key,
+                       const engine::FragmentResult& canonical) {
+  std::ostringstream os(std::ios::binary);
+  write_key(os, key);
+  frag::write_result_record(os, canonical);
+  return std::move(os).str();
 }
 
 }  // namespace
@@ -538,10 +512,11 @@ void ResultCache::ensure_store_current_locked() {
     if (::fstat(store_fd_.get(), &fs) != 0 || fs.st_size != 0) return;
   }
   // Empty file: stamp the header (exclusive lock held by the caller).
-  std::uint64_t header[2] = {kStoreMagic, kStoreVersion};
-  QFR_REQUIRE(
-      common::write_full(store_fd_.get(), header, sizeof(header)),
-      "result-cache store header write failed");
+  std::ostringstream header(std::ios::binary);
+  common::write_log_header(header, kStoreFormat);
+  QFR_REQUIRE(common::write_full(store_fd_.get(), header.view().data(),
+                                 header.view().size()),
+              "result-cache store header write failed");
 }
 
 bool ResultCache::scan_store_locked(bool strict_header) {
@@ -562,73 +537,58 @@ bool ResultCache::scan_store_locked(bool strict_header) {
 
   std::ifstream is(opts_.store_path, std::ios::binary);
   if (!is.good()) return false;
+  // Every store counter is mirrored into the ambient session's registry,
+  // so run reports show storage damage.
+  const auto count = [this](std::atomic<std::int64_t>& total,
+                            const char* metric) {
+    total.fetch_add(1, std::memory_order_relaxed);
+    bump(metric);
+  };
   bool damaged = false;
-  if (scan_offset_ < kHeaderBytes) {
-    std::uint64_t magic = 0, version = 0;
-    const bool header_ok = get_u64(is, &magic) && magic == kStoreMagic &&
-                           get_u64(is, &version) && version == kStoreVersion;
-    if (strict_header) {
-      QFR_REQUIRE(header_ok,
-                  "'" << opts_.store_path
-                      << "' is not a QF-RAMAN result-cache store (or its "
-                         "version is unsupported)");
-    } else if (!header_ok) {
-      store_corrupt_.fetch_add(1, std::memory_order_relaxed);
+  if (scan_offset_ < common::kLogHeaderBytes) {
+    try {
+      common::read_log_header(is, kStoreFormat);
+    } catch (const InvalidArgument& e) {
+      QFR_REQUIRE(!strict_header, "'" << opts_.store_path << "': " << e.what());
+      count(store_corrupt_, "qfr.cache.store_corrupt");
       return true;
     }
-    scan_offset_ = kHeaderBytes;
-  } else {
-    is.seekg(static_cast<std::streamoff>(scan_offset_));
+    scan_offset_ = common::kLogHeaderBytes;
   }
 
-  std::string kb, pb;
-  for (;;) {
-    std::uint64_t klen = 0, plen = 0;
-    if (!get_u64(is, &klen)) break;  // clean end of stream
-    if (klen > kMaxKeyBytes || !get_u64(is, &plen) ||
-        plen > kMaxPayloadBytes) {
-      // A corrupt length field hides the next frame boundary: stop here
-      // (scan_offset_ stays before the damage).
-      store_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      damaged = true;
-      break;
-    }
-    kb.resize(static_cast<std::size_t>(klen));
-    is.read(kb.data(), static_cast<std::streamsize>(klen));
-    pb.resize(static_cast<std::size_t>(plen));
-    is.read(pb.data(), static_cast<std::streamsize>(plen));
-    std::uint64_t stored_crc = 0;
-    if (!is.good() || !get_u64(is, &stored_crc)) {
-      store_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      damaged = true;  // torn tail: the record in flight at a kill
-      break;
-    }
-    std::string joined;
-    joined.reserve(kb.size() + pb.size());
-    joined.append(kb).append(pb);
-    FragmentKey key;
-    engine::FragmentResult r;
-    std::istringstream ks(kb, std::ios::binary);
-    std::istringstream ps(pb, std::ios::binary);
-    if (common::crc32(joined.data(), joined.size()) != stored_crc ||
-        !read_key(ks, &key) || !frag::read_result_record(ps, &r)) {
-      store_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      damaged = true;  // framing intact, content damaged: skip one record
-      scan_offset_ = static_cast<std::uint64_t>(is.tellg());
-      continue;
-    }
-    scan_offset_ = static_cast<std::uint64_t>(is.tellg());
-    if (key.tolerance != opts_.tolerance) {
-      store_skipped_.fetch_add(1, std::memory_order_relaxed);
-      damaged = true;  // built at a foreign grid spacing
-      continue;
-    }
-    auto canonical =
-        std::make_shared<const engine::FragmentResult>(std::move(r));
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lk(shard.m);
-    if (insert_locked(shard, key, std::move(canonical)))
-      store_loaded_.fetch_add(1, std::memory_order_relaxed);
+  const common::LogScan scan = common::scan_frames(
+      is, scan_offset_,
+      [&](common::FrameStatus status, std::string_view body) {
+        std::istringstream bs(std::string(body), std::ios::binary);
+        FragmentKey key;
+        engine::FragmentResult r;
+        if (status != common::FrameStatus::kOk || !read_key(bs, &key) ||
+            !frag::read_result_record(bs, &r)) {
+          count(store_corrupt_, "qfr.cache.store_corrupt");
+          damaged = true;  // framing intact, content damaged: skip one record
+          return;
+        }
+        if (key.tolerance != opts_.tolerance) {
+          count(store_skipped_, "qfr.cache.store_skipped");
+          damaged = true;  // built at a foreign grid spacing
+          return;
+        }
+        auto canonical =
+            std::make_shared<const engine::FragmentResult>(std::move(r));
+        Shard& shard = shard_for(key);
+        bool inserted = false;
+        {
+          std::lock_guard<std::mutex> lk(shard.m);
+          inserted = insert_locked(shard, key, std::move(canonical));
+        }
+        if (inserted) count(store_loaded_, "qfr.cache.store_loaded");
+      });
+  // A torn tail (the record in flight at a kill) or a corrupt length
+  // field hides the next frame boundary: scan_offset_ stays before it.
+  scan_offset_ = scan.end;
+  if (scan.torn) {
+    count(store_corrupt_, "qfr.cache.store_corrupt");
+    damaged = true;
   }
   return damaged;
 }
@@ -677,8 +637,8 @@ void ResultCache::append_to_store(const FragmentKey& key,
                                   const engine::FragmentResult& canonical) {
   if (opts_.store_path.empty()) return;
   std::ostringstream os(std::ios::binary);
-  put_frame(os, key, canonical);
-  const std::string frame = os.str();
+  common::write_frame(os, entry_body(key, canonical));
+  const std::string frame = std::move(os).str();
 
   std::lock_guard<std::mutex> lk(store_mutex_);
   if (!store_fd_.valid()) return;
@@ -711,13 +671,12 @@ void ResultCache::write_store_file(const std::string& path) {
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     QFR_REQUIRE(os.good(), "cannot open '" << tmp << "' for writing");
-    put_u64(os, kStoreMagic);
-    put_u64(os, kStoreVersion);
+    common::write_log_header(os, kStoreFormat);
     for (const auto& sh : shards_) {
       std::lock_guard<std::mutex> lk(sh->m);
       // Oldest first, so a budget-limited reload keeps the recent end.
       for (auto it = sh->lru.rbegin(); it != sh->lru.rend(); ++it)
-        put_frame(os, it->key, *it->value);
+        common::write_frame(os, entry_body(it->key, *it->value));
     }
     os.flush();
     QFR_REQUIRE(os.good(), "result-cache store write to '" << tmp

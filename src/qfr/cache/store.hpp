@@ -34,9 +34,9 @@ struct CacheOptions {
   /// within a shard.
   std::size_t n_shards = 16;
   /// Append-only on-disk store (empty = in-memory only). Loaded on
-  /// construction, appended to on every accepted insert; the file uses
-  /// the same CRC32-framed record style as v4 checkpoints, so a bit flip
-  /// at rest loses exactly one entry.
+  /// construction, appended to on every accepted insert; the file is a
+  /// common::record_log with one CRC-framed [key][result] body per entry,
+  /// so a bit flip at rest loses exactly one entry.
   ///
   /// The store is multi-process safe: appends are whole-frame writes on
   /// an O_APPEND descriptor serialized by an exclusive flock on

@@ -8,8 +8,8 @@ namespace qfr::common {
 
 /// CRC32 (IEEE 802.3, poly 0xEDB88320), table-driven — small and
 /// dependency-free; detects every single-bit flip in a record payload.
-/// Shared by the v4 checkpoint frames and the persistent result-cache
-/// store, so both on-disk formats carry the same integrity check.
+/// Shared by the on-disk record log (checkpoint and result-cache store)
+/// and the leader wire protocol, so both carry the same integrity check.
 inline const std::array<std::uint32_t, 256>& crc32_table() {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};

@@ -4,15 +4,17 @@
 #include <fstream>
 
 #include "qfr/common/error.hpp"
+#include "qfr/common/record_log.hpp"
 
 namespace qfr::fault {
 
 namespace {
 
-// v4 frame prefix: [id u64][payload len u64] before the payload bytes.
-constexpr std::uint64_t kFramePrefix = 16;
-// CRC u64 after the payload.
-constexpr std::uint64_t kFrameSuffix = 8;
+using common::kFramePrefixBytes;
+using common::kFrameSuffixBytes;
+// A checkpoint body opens with the fragment id. Damage goes past it, into
+// the result record, so the lost record stays attributable (corrupt_ids).
+constexpr std::uint64_t kIdBytes = sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -27,18 +29,19 @@ void CorruptingCheckpointSink::on_result(std::size_t fragment_id,
   const std::uint64_t start = std::filesystem::file_size(path_);
   writer_.append(fragment_id, result);
   const std::uint64_t end = std::filesystem::file_size(path_);
-  QFR_ASSERT(end >= start + kFramePrefix + kFrameSuffix,
+  QFR_ASSERT(end >= start + kFramePrefixBytes + kIdBytes + kFrameSuffixBytes,
              "checkpoint frame shorter than its own framing");
-  const std::uint64_t payload_len = end - start - kFramePrefix - kFrameSuffix;
+  const std::uint64_t record_start = start + kFramePrefixBytes + kIdBytes;
+  const std::uint64_t record_len = end - record_start - kFrameSuffixBytes;
 
   const Fault fault = injector_->draw(fragment_id, FaultSite::kCheckpoint);
   switch (fault.kind) {
     case FaultKind::kBitFlip: {
-      if (payload_len == 0) break;
-      // Deterministic single-bit flip inside the payload (never the frame
-      // header, so the scanner's skip-and-report path is exercised).
+      if (record_len == 0) break;
+      // Deterministic single-bit flip inside the result record (never the
+      // length field, so the scanner's skip-and-report path is exercised).
       const std::uint64_t offset =
-          start + kFramePrefix + injector_->mix(fragment_id, 1) % payload_len;
+          record_start + injector_->mix(fragment_id, 1) % record_len;
       const int bit = static_cast<int>(injector_->mix(fragment_id, 2) % 8);
       std::fstream f(path_,
                      std::ios::in | std::ios::out | std::ios::binary);
@@ -56,8 +59,7 @@ void CorruptingCheckpointSink::on_result(std::size_t fragment_id,
     case FaultKind::kTruncate:
       // Cut the record in half and stop appending: the writer "died" with
       // this record in flight.
-      std::filesystem::resize_file(
-          path_, start + kFramePrefix + payload_len / 2);
+      std::filesystem::resize_file(path_, record_start + record_len / 2);
       dead_ = true;
       break;
     default:

@@ -1,34 +1,28 @@
 #include "qfr/frag/checkpoint.hpp"
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
-#include "qfr/common/crc32.hpp"
 #include "qfr/common/error.hpp"
+#include "qfr/common/record_log.hpp"
 
 namespace qfr::frag {
 
 namespace {
 
-using common::crc32;
+using common::get_u64;
+using common::put_u64;
 
-constexpr std::uint32_t kMagic = 0x5146524Du;  // "QFRM"
-constexpr std::uint32_t kVersion = 2;             // whole-vector format
-constexpr std::uint32_t kVersionLegacyIncremental = 3;  // pre-CRC append-only
-constexpr std::uint32_t kVersionIncremental = 4;  // CRC-framed append-only
+// Version 5: the frame CRC covers the fragment id. Files of any other
+// version are rejected.
+constexpr common::LogFormat kFormat{0x5146524Du /* "QFRM" */, 5,
+                                    "checkpoint"};
 constexpr std::uint64_t kSentinel = 0xC0FFEEu;
-// A fragment record is a few matrices of a few thousand atoms at most; a
-// frame length beyond this means the length field itself is corrupt.
-constexpr std::uint64_t kMaxRecordBytes = 1ull << 32;
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 void put_f64(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -39,10 +33,6 @@ void put_matrix(std::ostream& os, const la::Matrix& m) {
            static_cast<std::streamsize>(m.size() * sizeof(double)));
 }
 
-bool get_u64(std::istream& is, std::uint64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
 bool get_f64(std::istream& is, double* v) {
   is.read(reinterpret_cast<char*>(v), sizeof(*v));
   return is.good();
@@ -58,7 +48,9 @@ bool get_matrix(std::istream& is, la::Matrix* m) {
   return is.good();
 }
 
-void put_record(std::ostream& os, const engine::FragmentResult& r) {
+}  // namespace
+
+void write_result_record(std::ostream& os, const engine::FragmentResult& r) {
   put_f64(os, r.energy);
   put_matrix(os, r.hessian);
   put_matrix(os, r.alpha);
@@ -69,7 +61,7 @@ void put_record(std::ostream& os, const engine::FragmentResult& r) {
   put_u64(os, kSentinel);  // record-complete sentinel
 }
 
-bool get_record(std::istream& is, engine::FragmentResult* r) {
+bool read_result_record(std::istream& is, engine::FragmentResult* r) {
   std::uint64_t flops = 0, tasks = 0, sentinel = 0;
   const bool ok = get_f64(is, &r->energy) && get_matrix(is, &r->hessian) &&
                   get_matrix(is, &r->alpha) && get_matrix(is, &r->dalpha) &&
@@ -82,178 +74,55 @@ bool get_record(std::istream& is, engine::FragmentResult* r) {
   return true;
 }
 
-}  // namespace
-
-void write_result_record(std::ostream& os, const engine::FragmentResult& r) {
-  put_record(os, r);
-}
-
-bool read_result_record(std::istream& is, engine::FragmentResult* r) {
-  return get_record(is, r);
-}
-
-void save_results(std::ostream& os,
-                  std::span<const engine::FragmentResult> results) {
-  put_u64(os, kMagic);
-  put_u64(os, kVersion);
-  put_u64(os, results.size());
-  for (const auto& r : results) put_record(os, r);
-  QFR_REQUIRE(os.good(), "checkpoint write failed");
-}
-
-void save_results_file(const std::string& path,
-                       std::span<const engine::FragmentResult> results) {
-  // Write-then-rename: readers either see the previous complete snapshot
-  // or the new complete snapshot, never a torn one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    QFR_REQUIRE(os.good(), "cannot open '" << tmp << "' for writing");
-    save_results(os, results);
-    os.flush();
-    QFR_REQUIRE(os.good(), "checkpoint write to '" << tmp << "' failed");
-  }
-  QFR_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot rename '" << tmp << "' to '" << path << "'");
-}
-
-LoadReport load_results(std::istream& is) {
-  std::uint64_t magic = 0, version = 0, count = 0;
-  QFR_REQUIRE(get_u64(is, &magic) && magic == kMagic,
-              "not a QF-RAMAN checkpoint stream");
-  QFR_REQUIRE(get_u64(is, &version) && version == kVersion,
-              "checkpoint version mismatch (got " << version << ", expected "
-                                                  << kVersion << ")");
-  QFR_REQUIRE(get_u64(is, &count), "truncated checkpoint header");
-
-  LoadReport report;
-  report.results.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    engine::FragmentResult r;
-    if (!get_record(is, &r)) {
-      report.n_dropped = count - i;
-      break;
-    }
-    report.results.push_back(std::move(r));
-  }
-  return report;
-}
-
-LoadReport load_results_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  QFR_REQUIRE(is.good(), "cannot open '" << path << "' for reading");
-  return load_results(is);
-}
-
-namespace {
-
-void put_incremental_header(std::ostream& os) {
-  put_u64(os, kMagic);
-  put_u64(os, kVersionIncremental);
-  QFR_REQUIRE(os.good(), "checkpoint header write failed");
-}
-
-}  // namespace
-
 CheckpointWriter::CheckpointWriter(const std::string& path)
     : file_(path, std::ios::binary | std::ios::trunc) {
   QFR_REQUIRE(file_.good(), "cannot open '" << path << "' for writing");
   os_ = &file_;
-  put_incremental_header(*os_);
+  common::write_log_header(*os_, kFormat);
   os_->flush();
+  QFR_REQUIRE(os_->good(), "checkpoint header write failed");
 }
 
 CheckpointWriter::CheckpointWriter(std::ostream& os) : os_(&os) {
-  put_incremental_header(*os_);
+  common::write_log_header(*os_, kFormat);
+  QFR_REQUIRE(os_->good(), "checkpoint header write failed");
 }
 
 void CheckpointWriter::append(std::size_t fragment_id,
                               const engine::FragmentResult& result) {
-  // Frame: [id u64][payload len u64][payload][crc32-of-payload u64]. The
-  // length makes a corrupt payload skippable; the CRC makes it detectable.
-  std::ostringstream payload(std::ios::binary);
-  put_record(payload, result);
-  const std::string bytes = payload.str();
-
-  put_u64(*os_, static_cast<std::uint64_t>(fragment_id));
-  put_u64(*os_, static_cast<std::uint64_t>(bytes.size()));
-  os_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put_u64(*os_, crc32(bytes.data(), bytes.size()));
+  // The id rides inside the CRC-covered body: a flipped id bit fails the
+  // check instead of filing the result under another fragment.
+  std::ostringstream body(std::ios::binary);
+  put_u64(body, static_cast<std::uint64_t>(fragment_id));
+  write_result_record(body, result);
+  common::write_frame(*os_, body.view());
   // Flush per record: a killed run loses at most the record in flight.
   os_->flush();
   QFR_REQUIRE(os_->good(), "checkpoint append failed");
   ++n_;
 }
 
-namespace {
-
-/// v3 scan loop (pre-CRC): records are not framed, so the first corrupt or
-/// partial record ends the scan.
-void scan_legacy(std::istream& is, CheckpointReport* report) {
-  for (;;) {
-    std::uint64_t id = 0;
-    if (!get_u64(is, &id)) break;  // clean end of stream
-    engine::FragmentResult r;
-    if (!get_record(is, &r)) {
-      report->truncated = true;  // record in flight when the run died
-      break;
-    }
-    report->fragment_ids.push_back(static_cast<std::size_t>(id));
-    report->results.push_back(std::move(r));
-  }
-}
-
-void scan_framed(std::istream& is, CheckpointReport* report) {
-  std::string payload;
-  for (;;) {
-    std::uint64_t id = 0, len = 0;
-    if (!get_u64(is, &id)) break;  // clean end of stream
-    if (!get_u64(is, &len) || len > kMaxRecordBytes) {
-      // A corrupt length field is indistinguishable from a torn tail: we
-      // cannot find the next frame boundary, so the scan stops here.
-      report->truncated = true;
-      break;
-    }
-    payload.resize(static_cast<std::size_t>(len));
-    is.read(payload.data(), static_cast<std::streamsize>(len));
-    std::uint64_t stored_crc = 0;
-    if (!is.good() || !get_u64(is, &stored_crc)) {
-      report->truncated = true;
-      break;
-    }
-    engine::FragmentResult r;
-    std::istringstream ps(payload, std::ios::binary);
-    if (crc32(payload.data(), payload.size()) != stored_crc ||
-        !get_record(ps, &r)) {
-      // The frame is intact but the payload is damaged: skip exactly this
-      // record and keep scanning from the next frame.
-      ++report->n_corrupt;
-      report->corrupt_ids.push_back(static_cast<std::size_t>(id));
-      continue;
-    }
-    report->fragment_ids.push_back(static_cast<std::size_t>(id));
-    report->results.push_back(std::move(r));
-  }
-}
-
-}  // namespace
-
 CheckpointReport scan_checkpoint(std::istream& is) {
-  std::uint64_t magic = 0, version = 0;
-  QFR_REQUIRE(get_u64(is, &magic) && magic == kMagic,
-              "not a QF-RAMAN checkpoint stream");
-  QFR_REQUIRE(get_u64(is, &version),
-              "truncated incremental checkpoint header");
-  QFR_REQUIRE(version == kVersionIncremental ||
-                  version == kVersionLegacyIncremental,
-              "incremental checkpoint version mismatch (got "
-                  << version << ", expected " << kVersionIncremental << " or "
-                  << kVersionLegacyIncremental << ")");
+  common::read_log_header(is, kFormat);
   CheckpointReport report;
-  if (version == kVersionLegacyIncremental)
-    scan_legacy(is, &report);
-  else
-    scan_framed(is, &report);
+  const common::LogScan scan = common::scan_frames(
+      is, common::kLogHeaderBytes,
+      [&](common::FrameStatus status, std::string_view body) {
+        std::istringstream bs(std::string(body), std::ios::binary);
+        std::uint64_t id = 0;
+        const bool have_id = get_u64(bs, &id);
+        engine::FragmentResult r;
+        if (status != common::FrameStatus::kOk || !have_id ||
+            !read_result_record(bs, &r)) {
+          // Skip exactly this record and keep scanning from the next frame.
+          ++report.n_corrupt;
+          report.corrupt_ids.push_back(static_cast<std::size_t>(id));
+          return;
+        }
+        report.fragment_ids.push_back(static_cast<std::size_t>(id));
+        report.results.push_back(std::move(r));
+      });
+  report.truncated = scan.torn;
   return report;
 }
 

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <fstream>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -17,51 +16,29 @@ namespace qfr::frag {
 /// The fragment sweep dominates a QF-RAMAN run (at the paper's scale it is
 /// hours on a full supercomputer), so production runs must be resumable:
 /// results are streamed to disk as they complete and a restarted run only
-/// recomputes what is missing. Two formats share one record layout:
-///
-/// - v2 (save_results/load_results): a whole result vector with an
-///   up-front count, written once at the end of a run. Written atomically:
-///   to a temp file first, then renamed over the target, so a crash during
-///   the save never leaves a half-written snapshot in place.
-/// - v4 (CheckpointWriter/scan_checkpoint): an append-only stream of
-///   length-framed, CRC32-protected (fragment id, result) records with no
-///   up-front count, flushed record by record as the sweep completes
-///   fragments. A run killed mid-write loses at most the trailing record;
-///   a bit flip at rest corrupts exactly one record — the length framing
-///   lets scan_checkpoint skip it, report it, and keep every other record.
-///   The pre-CRC v3 format is still readable (without per-record recovery:
-///   a corrupt v3 record truncates the scan there, as it always did).
+/// recomputes what is missing. The checkpoint (version 5) is a
+/// common::record_log: one CRC-framed [fragment id][result record] body
+/// per completed fragment, appended and flushed as the sweep completes
+/// it. A run killed mid-write loses at most the trailing record; a bit
+/// flip at rest — in the id or in the result — corrupts exactly one
+/// record, which scan_checkpoint skips, reports, and never attributes to
+/// another fragment.
 
-/// The single-record serialization shared by every on-disk format (v2
-/// snapshots, v4 incremental frames, the qfr::cache persistent store):
-/// energy, the four tensors, flop/task counters, and a completion
-/// sentinel. read_result_record returns false on a truncated or
-/// sentinel-less stream without throwing, so framed readers can treat a
-/// bad payload as one skippable record.
+/// The single-record serialization shared by the checkpoint, the
+/// qfr::cache persistent store and the leader wire protocol: energy, the
+/// four tensors, flop/task counters, and a completion sentinel.
+/// read_result_record returns false on a truncated or sentinel-less
+/// stream without throwing, so framed readers can treat a bad payload as
+/// one skippable record.
 void write_result_record(std::ostream& os, const engine::FragmentResult& r);
 bool read_result_record(std::istream& is, engine::FragmentResult* r);
 
-/// Write all results (indexed by fragment id) to a stream/file.
-void save_results(std::ostream& os,
-                  std::span<const engine::FragmentResult> results);
-void save_results_file(const std::string& path,
-                       std::span<const engine::FragmentResult> results);
-
-/// Read results back; throws InvalidArgument on format/version mismatch.
-/// Truncated trailing records are dropped (with their count reported).
-struct LoadReport {
-  std::vector<engine::FragmentResult> results;
-  std::size_t n_dropped = 0;  ///< truncated/corrupt trailing records
-};
-LoadReport load_results(std::istream& is);
-LoadReport load_results_file(const std::string& path);
-
-/// Incremental (v4) checkpoint writer: records are appended and flushed
-/// one at a time as fragments complete. Not thread safe — the runtime
-/// serializes sink calls.
+/// Incremental checkpoint writer: records are appended and flushed one at
+/// a time as fragments complete. Not thread safe — the runtime serializes
+/// sink calls.
 class CheckpointWriter {
  public:
-  /// Truncates `path` and writes a fresh v4 header.
+  /// Truncates `path` and writes a fresh header.
   explicit CheckpointWriter(const std::string& path);
   CheckpointWriter(std::ostream& os);  ///< stream variant (tests)
 
@@ -78,7 +55,7 @@ class CheckpointWriter {
 
 /// Result of scanning an incremental checkpoint: parallel arrays of
 /// fragment id and result, in append order (ids may repeat only if the
-/// writer was misused; last record wins on resume). Corrupt v4 records are
+/// writer was misused; last record wins on resume). Corrupt records are
 /// skipped — the resume recomputes exactly those fragments — and counted
 /// here so the workflow can log what the checkpoint lost.
 struct CheckpointReport {
@@ -86,12 +63,11 @@ struct CheckpointReport {
   std::vector<engine::FragmentResult> results;
   bool truncated = false;    ///< a partial trailing record was dropped
   std::size_t n_corrupt = 0; ///< CRC-mismatched/unparseable records skipped
-  /// Fragment ids of skipped records, best effort: trustworthy when the
-  /// payload (not the frame header) was corrupted.
+  /// Fragment ids of skipped records, best effort: read from the damaged
+  /// body, so trustworthy only when the damage missed the id itself.
   std::vector<std::size_t> corrupt_ids;
 };
-/// Back-compat name from before corruption reporting existed.
-using ScanReport = CheckpointReport;
+/// Throws InvalidArgument on a foreign file or another format version.
 CheckpointReport scan_checkpoint(std::istream& is);
 CheckpointReport scan_checkpoint_file(const std::string& path);
 

@@ -146,16 +146,32 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
         // Ids beyond the current fragmentation mean the checkpoint
         // belongs to a different decomposition; skip them.
         if (id >= n_fragments) continue;
+        // So does a record shaped for another fragment: assembly would
+        // reject it only after the whole sweep, so recompute it now.
+        const std::size_t dim = 3 * fr.fragments[id].n_atoms();
+        const engine::FragmentResult& r = scan.results[k];
+        if (r.hessian.rows() != dim || r.hessian.cols() != dim ||
+            r.dalpha.cols() != dim) {
+          ++n_corrupt_records;
+          continue;
+        }
         if (restored[id].hessian.size() == 0) completed_ids.push_back(id);
         restored[id] = std::move(scan.results[k]);
       }
       QFR_LOG_INFO("resume: ", completed_ids.size(), " of ", n_fragments,
                    " fragments restored from '", checkpoint_path,
                    "'");
-      if (scan.n_corrupt > 0)
-        QFR_LOG_WARN("resume: skipped ", scan.n_corrupt,
-                     " corrupt checkpoint record(s); those fragments will "
-                     "be recomputed");
+      if (n_corrupt_records > 0)
+        QFR_LOG_WARN("resume: skipped ", n_corrupt_records,
+                     " corrupt or misshapen checkpoint record(s); those "
+                     "fragments will be recomputed");
+    }
+    if (session != nullptr) {
+      obs::MetricsRegistry& m = session->metrics();
+      m.counter("frag.checkpoint.restored")
+          .add(static_cast<std::int64_t>(completed_ids.size()));
+      m.counter("frag.checkpoint.corrupt_records")
+          .add(static_cast<std::int64_t>(n_corrupt_records));
     }
   }
 

@@ -149,7 +149,8 @@ struct SweepSummary {
   /// Fragments with no result at all, absent from the assembly (only
   /// non-zero when allow_dropped_fragments let the run proceed).
   std::size_t n_dropped = 0;
-  /// Checkpoint records skipped as corrupt during resume.
+  /// Checkpoint records skipped on resume: corrupt, or shaped for another
+  /// fragment than the one their id names in this fragmentation.
   std::size_t n_corrupt_records = 0;
   /// Fragments whose accepted result came from the result cache (zero
   /// unless WorkflowOptions::cache.enabled).

@@ -12,7 +12,7 @@
 namespace qfr::runtime::wire {
 
 /// The master <-> leader-process protocol: length-framed, CRC32-protected
-/// messages in the v4-checkpoint record style, carried over a socketpair.
+/// messages carrying the checkpoint's result record, over a socketpair.
 /// Every frame is
 ///
 ///   [magic u32][version u32][type u32][payload_len u64]

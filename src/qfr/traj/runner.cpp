@@ -110,7 +110,6 @@ JsonlSpectrumSink::JsonlSpectrumSink(std::string path, bool resume)
   QFR_REQUIRE(!path_.empty(), "spectrum series path must not be empty");
   if (resume) {
     std::ifstream is(path_);
-    std::size_t n_dropped = 0;
     if (is.good()) {
       std::string line;
       while (std::getline(is, line)) {
@@ -120,7 +119,7 @@ JsonlSpectrumSink::JsonlSpectrumSink(std::string path, bool resume)
         if (parse_frame_line(line, &f)) {
           restored_.push_back(std::move(f));
         } else {
-          ++n_dropped;  // torn/damaged line: that frame will be re-run
+          ++n_dropped_;  // torn/damaged line: that frame will be re-run
         }
       }
     }
@@ -128,8 +127,8 @@ JsonlSpectrumSink::JsonlSpectrumSink(std::string path, bool resume)
               [](const FrameSummary& a, const FrameSummary& b) {
                 return a.frame < b.frame;
               });
-    if (n_dropped > 0)
-      QFR_LOG_WARN("spectrum series resume: dropped ", n_dropped,
+    if (n_dropped_ > 0)
+      QFR_LOG_WARN("spectrum series resume: dropped ", n_dropped_,
                    " damaged line(s) from '", path_, "'");
     // Atomic rewrite to exactly the surviving lines, so the file is a
     // clean frame boundary before new appends land.

@@ -53,11 +53,14 @@ class JsonlSpectrumSink final : public SpectrumSeriesSink {
   /// Frames recovered from the file on construction (resume only),
   /// ascending by frame index.
   const std::vector<FrameSummary>& restored() const { return restored_; }
+  /// Damaged or torn lines dropped on construction (resume only).
+  std::size_t n_dropped() const { return n_dropped_; }
 
  private:
   std::string path_;
   std::ofstream os_;
   std::vector<FrameSummary> restored_;
+  std::size_t n_dropped_ = 0;
 };
 
 /// Configuration of a trajectory streaming run.

@@ -582,10 +582,16 @@ TEST(PersistentStore, CorruptRecordIsSkippedAndReported) {
     fs.seekp(mid);
     fs.write(&b, 1);
   }
+  // The load's counters are mirrored into the ambient session's registry,
+  // so a run report shows the damage.
+  obs::Session session;
+  const obs::ScopedSession ambient(&session);
   ResultCache reloaded(disk_opts(f.path));
   const CacheStats s = reloaded.stats();
   EXPECT_EQ(s.store_loaded, 1);
   EXPECT_EQ(s.store_corrupt, 1);
+  EXPECT_EQ(session.metrics().counter_value("qfr.cache.store_loaded"), 1);
+  EXPECT_EQ(session.metrics().counter_value("qfr.cache.store_corrupt"), 1);
   EXPECT_TRUE(reloaded.lookup("model", w1).has_value());
   EXPECT_FALSE(reloaded.lookup("model", w2).has_value());
 
@@ -606,10 +612,37 @@ TEST(PersistentStore, ForeignToleranceRecordsAreSkipped) {
   }
   CacheOptions coarse = disk_opts(f.path);
   coarse.tolerance = 1e-2;  // different grid: keys do not line up
+  obs::Session session;
+  const obs::ScopedSession ambient(&session);
   ResultCache reloaded(coarse);
   EXPECT_EQ(reloaded.stats().store_loaded, 0);
   EXPECT_EQ(reloaded.stats().store_skipped, 1);
+  EXPECT_EQ(session.metrics().counter_value("qfr.cache.store_skipped"), 1);
   EXPECT_FALSE(reloaded.lookup("model", w).has_value());
+}
+
+TEST(PersistentStore, OtherVersionIsRejectedByName) {
+  ScratchFile f("qfr_cache_version.bin");
+  {
+    ResultCache cache(disk_opts(f.path));
+    const Molecule w = chem::make_water({0, 0, 0});
+    ASSERT_TRUE(cache.insert("model", w, engine::ModelEngine().compute(w)));
+  }
+  {
+    // Stamp the version field (the second header word) with version 1.
+    std::fstream fs(f.path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t v1 = 1;
+    fs.seekp(8);
+    fs.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
+  try {
+    ResultCache reloaded(disk_opts(f.path));
+    FAIL() << "a version-1 store was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("got 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected 2"), std::string::npos) << what;
+  }
 }
 
 TEST(PersistentStore, CompactRewritesExactlyTheLiveEntries) {

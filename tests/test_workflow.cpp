@@ -14,6 +14,7 @@
 #include "qfr/fault/faulty_engine.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/obs/json.hpp"
+#include "qfr/part/policy.hpp"
 #include "qfr/qframan/workflow.hpp"
 
 namespace qfr::qframan {
@@ -343,6 +344,73 @@ TEST(Workflow, CheckpointResumeRecomputesOnlyMissingFragments) {
   const WorkflowResult again = RamanWorkflow(opts).run(sys, idle_eng);
   EXPECT_EQ(idle_eng.computes(), 0);
   EXPECT_EQ(again.sweep.n_resumed, n_fragments);
+}
+
+TEST(Workflow, ResumeUnderAnotherFragmentationRecomputesMisshapenRecords) {
+  const frag::BioSystem sys = water_cluster(8);
+  const std::string path = "/tmp/qfr_workflow_refragment_test.bin";
+  const std::string report_path = "/tmp/qfr_workflow_refragment_report.json";
+  WorkflowOptions opts;
+  opts.sigma_cm = 20.0;
+  opts.n_leaders = 1;
+  opts.checkpoint_path = path;
+  {
+    // Run 1 checkpoints every fragment of the MFCC decomposition.
+    const engine::ModelEngine eng;
+    RamanWorkflow(opts).run(sys, eng);
+  }
+
+  // Resume under a graph partition: the checkpoint's ids now name
+  // fragments of other sizes, so their records do not fit.
+  WorkflowOptions graph = opts;
+  graph.fragmentation.policy = frag::PolicyKind::kGraphPartition;
+  graph.fragmentation.n_parts = 2;
+  graph.resume = true;
+  graph.report_path = report_path;
+  const frag::Fragmentation before =
+      part::fragment_system(sys, opts.fragmentation);
+  const frag::Fragmentation after =
+      part::fragment_system(sys, graph.fragmentation);
+  std::size_t n_misshapen = 0;
+  for (std::size_t id = 0; id < after.fragments.size(); ++id)
+    if (before.fragments[id].n_atoms() != after.fragments[id].n_atoms())
+      ++n_misshapen;
+  ASSERT_EQ(n_misshapen, after.fragments.size());
+
+  const FlakyCountingEngine eng;
+  const WorkflowResult res = RamanWorkflow(graph).run(sys, eng);
+  EXPECT_EQ(res.sweep.n_corrupt_records, n_misshapen);
+  EXPECT_EQ(res.sweep.n_resumed, 0u);
+  EXPECT_EQ(eng.computes(), static_cast<int>(n_misshapen));
+
+  // The recomputed spectrum is bitwise the uninterrupted one.
+  WorkflowOptions clean_opts = graph;
+  clean_opts.checkpoint_path.clear();
+  clean_opts.report_path.clear();
+  clean_opts.resume = false;
+  const FlakyCountingEngine clean_eng;
+  const WorkflowResult clean = RamanWorkflow(clean_opts).run(sys, clean_eng);
+  ASSERT_EQ(res.spectrum.intensity.size(), clean.spectrum.intensity.size());
+  for (std::size_t i = 0; i < res.spectrum.intensity.size(); ++i)
+    EXPECT_EQ(res.spectrum.intensity[i], clean.spectrum.intensity[i]);
+
+  // The run report shows what the checkpoint lost.
+  std::ifstream rf(report_path);
+  ASSERT_TRUE(rf.good()) << report_path;
+  std::stringstream rbuf;
+  rbuf << rf.rdbuf();
+  const auto report = obs::Json::parse(rbuf.str());
+  ASSERT_TRUE(report.has_value());
+  const obs::Json* counters = report->find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(counters->find("frag.checkpoint.restored"), nullptr);
+  EXPECT_EQ(counters->find("frag.checkpoint.restored")->as_double(), 0.0);
+  ASSERT_NE(counters->find("frag.checkpoint.corrupt_records"), nullptr);
+  EXPECT_EQ(counters->find("frag.checkpoint.corrupt_records")->as_double(),
+            static_cast<double>(n_misshapen));
+  std::remove(path.c_str());
+  std::remove(report_path.c_str());
+  std::remove((path + ".outcomes.csv").c_str());
 }
 
 // Observability acceptance: an instrumented ab initio run leaves behind
