@@ -1,7 +1,6 @@
 #include "qfr/qframan/workflow.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "qfr/common/error.hpp"
 #include "qfr/frag/checkpoint.hpp"
@@ -56,6 +55,34 @@ engine::EngineFallbackChain make_fallback_chain(EngineKind kind,
   // a finite, sum-rule-exact result.
   chain.push_back(std::make_unique<engine::ModelEngine>());
   return chain;
+}
+
+SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
+                            const la::Vector& axis, double sigma_cm,
+                            SolverKind solver, int lanczos_steps,
+                            bool compute_ir) {
+  if (solver == SolverKind::kAuto)
+    solver = props.hessian_mw.rows() <= 600 ? SolverKind::kExact
+                                            : SolverKind::kLanczosGagq;
+  SolvedSpectra out;
+  if (solver == SolverKind::kExact) {
+    const la::Matrix dense = props.hessian_mw.to_dense();
+    out.raman =
+        spectra::raman_spectrum_exact(dense, props.dalpha_mw, axis, sigma_cm);
+    if (compute_ir)
+      out.ir = spectra::ir_spectrum_exact(dense, props.dmu_mw, axis, sigma_cm);
+    return out;
+  }
+  spectra::LanczosOptions lopts;
+  lopts.steps = lanczos_steps;
+  const bool gagq = solver == SolverKind::kLanczosGagq;
+  out.raman = spectra::raman_spectrum_lanczos(
+      props.hessian_mw, props.dalpha_mw, axis, sigma_cm, lopts, gagq);
+  if (compute_ir)
+    out.ir = spectra::ir_spectrum_lanczos(props.hessian_mw, props.dmu_mw,
+                                          axis, sigma_cm, lopts, gagq);
+  out.used_lanczos = true;
+  return out;
 }
 
 std::string decorate_artifact_path(const std::string& path,
@@ -257,32 +284,13 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   out.sweep.n_cancelled = report.n_cancelled;
   out.sweep.outcomes = report.outcomes;
   const std::size_t n_bad = report.n_failed();
-  if (out.sweep.n_degraded > 0 || n_bad > 0)
-    QFR_LOG_WARN("sweep integrity: ", out.sweep.n_degraded,
-                 " fragment(s) degraded to a fallback engine, ", n_bad,
-                 " dropped");
-  if (out.sweep.n_leader_crashes + out.sweep.n_leader_hangs > 0)
-    QFR_LOG_WARN("sweep supervision: ", out.sweep.n_leader_crashes,
-                 " leader crash(es), ", out.sweep.n_leader_hangs,
-                 " hang(s), ", out.sweep.n_leases_revoked,
-                 " lease(s) revoked, ", out.sweep.n_cancelled,
-                 " compute(s) cancelled");
   if (n_bad > 0 && !options_.allow_dropped_fragments) {
     // The checkpoint already holds every completed fragment, so a re-run
     // with resume=true recomputes only the failures.
-    std::string first_error = "unknown";
-    for (const auto& o : report.outcomes)
-      if (!o.completed) {
-        std::ostringstream os;
-        os << "fragment " << o.fragment_id << " ["
-           << runtime::to_string(o.reason) << "]: " << o.error;
-        first_error = os.str();
-        break;
-      }
     QFR_NUMERIC_FAIL("fragment sweep failed for "
                      << n_bad << " of " << n_fragments
                      << " fragments (completed work checkpointed): "
-                     << first_error);
+                     << runtime::first_failure(report.outcomes));
   }
   out.sweep.n_dropped = n_bad;
 
@@ -298,37 +306,17 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   }
 
   // 4. Spectral solve.
-  const std::size_t dim = out.properties.hessian_mw.rows();
-  SolverKind solver = options_.solver;
-  if (solver == SolverKind::kAuto)
-    solver = (dim <= 600) ? SolverKind::kExact : SolverKind::kLanczosGagq;
-
   const la::Vector axis = spectra::wavenumber_axis(
       options_.omega_min_cm, options_.omega_max_cm, options_.omega_points);
   WallTimer solver_timer;
   {
-  obs::SpanGuard solve_span(session, "workflow.solve", "workflow");
-  if (solver == SolverKind::kExact) {
-    const la::Matrix dense = out.properties.hessian_mw.to_dense();
-    out.spectrum = spectra::raman_spectrum_exact(
-        dense, out.properties.dalpha_mw, axis, options_.sigma_cm);
-    if (options_.compute_ir)
-      out.ir_spectrum = spectra::ir_spectrum_exact(
-          dense, out.properties.dmu_mw, axis, options_.sigma_cm);
-    out.used_lanczos = false;
-  } else {
-    spectra::LanczosOptions lopts;
-    lopts.steps = options_.lanczos_steps;
-    const bool gagq = solver == SolverKind::kLanczosGagq;
-    out.spectrum = spectra::raman_spectrum_lanczos(
-        out.properties.hessian_mw, out.properties.dalpha_mw, axis,
-        options_.sigma_cm, lopts, gagq);
-    if (options_.compute_ir)
-      out.ir_spectrum = spectra::ir_spectrum_lanczos(
-          out.properties.hessian_mw, out.properties.dmu_mw, axis,
-          options_.sigma_cm, lopts, gagq);
-    out.used_lanczos = true;
-  }
+    obs::SpanGuard solve_span(session, "workflow.solve", "workflow");
+    SolvedSpectra solved = solve_spectra(
+        out.properties, axis, options_.sigma_cm, options_.solver,
+        options_.lanczos_steps, options_.compute_ir);
+    out.spectrum = std::move(solved.raman);
+    out.ir_spectrum = std::move(solved.ir);
+    out.used_lanczos = solved.used_lanczos;
   }
   out.solver_seconds = solver_timer.seconds();
 

@@ -204,6 +204,21 @@ class RamanWorkflow {
   WorkflowOptions options_;
 };
 
+/// Spectra of one solve.
+struct SolvedSpectra {
+  spectra::RamanSpectrum raman;
+  spectra::RamanSpectrum ir;  ///< filled when compute_ir is set
+  bool used_lanczos = false;
+};
+
+/// The spectral solve of every entry point: kAuto takes the dense exact
+/// solver up to 3N = 600 and Lanczos+GAGQ above; the Lanczos kinds run
+/// `lanczos_steps` steps. Also solves the IR spectrum when `compute_ir`.
+SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
+                            const la::Vector& axis, double sigma_cm,
+                            SolverKind solver, int lanczos_steps,
+                            bool compute_ir);
+
 /// Factory for the engine selected by `kind` (shared by the workflow and
 /// the benches). `batched_gemm` is forwarded to the SCF engines.
 std::unique_ptr<engine::FragmentEngine> make_engine(EngineKind kind,

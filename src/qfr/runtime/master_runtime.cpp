@@ -61,30 +61,46 @@ MasterRuntime::MasterRuntime(RuntimeOptions options)
               "need at least one worker per leader");
 }
 
-engine::FragmentResult compute_with_engine(const engine::FragmentEngine& eng,
-                                           const frag::Fragment& f) {
-  // Topology-tagged dispatch: engines that care (the model surrogate)
-  // use the fragmentation's explicit bond list; everything else falls
-  // back to the id-tagged compute through the default implementation.
-  return eng.compute(f.id, f.mol, f.bonds);
+void record_sweep(const SweepScheduler& scheduler, RunReport& report) {
+  report.n_tasks = scheduler.n_tasks();
+  report.n_requeued = scheduler.n_requeued();
+  report.n_retries = scheduler.n_retries();
+  report.n_fault_retries = scheduler.n_fault_retries();
+  report.n_reject_retries = scheduler.n_reject_retries();
+  report.n_rejected = scheduler.n_rejected();
+  report.n_resumed = scheduler.n_resumed();
+  report.cancelled = scheduler.cancelled();
+  report.n_leases_revoked = scheduler.n_revoked();
+  report.outcomes = scheduler.outcomes();
+  report.task_log = scheduler.task_log();
+}
+
+std::string first_failure(const std::vector<FragmentOutcome>& outcomes) {
+  for (const FragmentOutcome& o : outcomes)
+    if (!o.completed) {
+      std::ostringstream os;
+      os << "fragment " << o.fragment_id << " [" << to_string(o.reason)
+         << "]: " << o.error;
+      return os.str();
+    }
+  return {};
 }
 
 RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
                              const engine::FragmentEngine& eng) const {
-  return run_impl(
-      fragments,
-      [&eng](const frag::Fragment& f) { return compute_with_engine(eng, f); },
-      eng.name());
+  return run_impl(fragments, EngineLadder(eng, options_.fallback_chain,
+                                          options_.cache));
 }
 
 RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
                              const FragmentCompute& compute) const {
-  return run_impl(fragments, compute, options_.primary_engine_name);
+  return run_impl(fragments,
+                  EngineLadder(compute, options_.primary_engine_name,
+                               options_.fallback_chain, options_.cache));
 }
 
 RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
-                                  const FragmentCompute& compute,
-                                  const std::string& primary_name) const {
+                                  const EngineLadder& ladder) const {
   RunReport report;
   report.results.resize(fragments.size());
   report.leaders.resize(options_.n_leaders);
@@ -104,40 +120,17 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
     items.push_back(
         {f.id, f.n_atoms(), options_.cost_model.evaluate(f.n_atoms())});
 
-  const std::size_t n_chain =
-      options_.fallback_chain ? options_.fallback_chain->size() : 0;
-
   SweepOptions sopts;
   sopts.straggler_timeout = options_.straggler_timeout;
   sopts.max_retries = options_.max_retries;
   sopts.completed_ids = options_.completed_ids;
-  sopts.n_engine_levels = 1 + n_chain;
+  sopts.n_engine_levels = ladder.n_levels();
   sopts.validator = options_.validator;
   sopts.retry_backoff_base = options_.retry_backoff_base;
   sopts.retry_backoff_max = options_.retry_backoff_max;
   sopts.retry_backoff_jitter = options_.retry_backoff_jitter;
   SweepScheduler scheduler(std::move(items), std::move(policy),
                            std::move(sopts));
-
-  auto engine_name_at = [&](std::size_t level) -> std::string {
-    if (level == 0) return primary_name;
-    return options_.fallback_chain->engine(level - 1).name();
-  };
-  // Level-aware compute: level 0 is the caller's engine, levels 1..n are
-  // the fallback chain (graceful degradation). With a result cache
-  // configured every level's compute is routed through it, namespaced by
-  // that level's engine name, so cached results respect the fragment's
-  // fallback level.
-  auto compute_at = [&](const frag::Fragment& f,
-                        std::size_t level) -> engine::FragmentResult {
-    auto raw = [&]() -> engine::FragmentResult {
-      if (level == 0) return compute(f);
-      return compute_with_engine(options_.fallback_chain->engine(level - 1),
-                                 f);
-    };
-    if (options_.cache == nullptr) return raw();
-    return options_.cache->get_or_compute(engine_name_at(level), f.mol, raw);
-  };
 
   const bool supervised = options_.supervision.enabled;
   std::optional<Supervisor> supervisor;
@@ -165,8 +158,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
   drive.supervisor = supervisor ? &*supervisor : nullptr;
   drive.obs = obs;
   drive.wall = &wall;
-  drive.compute_at = compute_at;
-  drive.engine_name_at = engine_name_at;
+  drive.ladder = &ladder;
   drive.report = &report;
   drive.sink_mutex = &sink_mutex;
   drive.n_cancelled = &n_cancelled;
@@ -177,15 +169,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
   transport->run(drive);
 
   report.makespan_seconds = wall.seconds();
-  report.n_tasks = scheduler.n_tasks();
-  report.n_requeued = scheduler.n_requeued();
-  report.n_retries = scheduler.n_retries();
-  report.n_fault_retries = scheduler.n_fault_retries();
-  report.n_reject_retries = scheduler.n_reject_retries();
-  report.n_rejected = scheduler.n_rejected();
-  report.n_resumed = scheduler.n_resumed();
-  report.cancelled = scheduler.cancelled();
-  report.n_leases_revoked = scheduler.n_revoked();
+  record_sweep(scheduler, report);
   report.n_cancelled = n_cancelled.load();
   if (supervisor) {
     report.n_leader_crashes = supervisor->n_leader_crashes();
@@ -195,8 +179,6 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
   // process mode detects pipe EOF locally); supervised crashes are
   // already counted above, never both for the same death.
   report.n_leader_crashes += n_transport_crashes.load();
-  report.outcomes = scheduler.outcomes();
-  report.task_log = scheduler.task_log();
 
   if (obs != nullptr) {
     // The sweep-wide dispatch counters, mirrored into the registry so the
@@ -236,18 +218,8 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
                      ") after: ", o.error);
   }
   if (scheduler.n_failed() > 0) {
-    std::string first_error;
-    std::size_t n_bad = 0;
-    for (const auto& o : report.outcomes) {
-      if (o.completed) continue;
-      ++n_bad;
-      if (first_error.empty()) {
-        std::ostringstream os;
-        os << "fragment " << o.fragment_id << " ["
-           << to_string(o.reason) << "]: " << o.error;
-        first_error = os.str();
-      }
-    }
+    const std::size_t n_bad = report.n_failed();
+    const std::string first_error = first_failure(report.outcomes);
     QFR_LOG_WARN("sweep finished with ", n_bad, " failed fragment(s): ",
                  first_error);
     // A cancelled sweep is an intentional early exit, not a failure:

@@ -173,13 +173,14 @@ struct RunReport {
   std::size_t n_reuse_refresh() const;
 };
 
-/// One engine-dispatch convention shared by the primary and every
-/// fallback level (and by the serving layer): the classical engine
-/// exploits the fragment's explicit topology, everything else gets the
-/// id-tagged geometry call (so fault decorators can key on the fragment
-/// id).
-engine::FragmentResult compute_with_engine(const engine::FragmentEngine& eng,
-                                           const frag::Fragment& f);
+/// Copy `scheduler`'s dispatch counters (n_tasks through
+/// n_leases_revoked, cancelled), outcomes and task log into `report`.
+/// Every sweep report, the serving layer's included, is filled here.
+void record_sweep(const SweepScheduler& scheduler, RunReport& report);
+
+/// "fragment N [reason]: error" for the first outcome without an accepted
+/// result; empty when every fragment completed.
+std::string first_failure(const std::vector<FragmentOutcome>& outcomes);
 
 /// In-process realization of the paper's three-level hierarchy (Fig. 3):
 /// the caller is the master (runs the packing policy), leaders are
@@ -218,8 +219,7 @@ class MasterRuntime {
 
  private:
   RunReport run_impl(std::span<const frag::Fragment> fragments,
-                     const FragmentCompute& compute,
-                     const std::string& primary_name) const;
+                     const EngineLadder& ladder) const;
 
   RuntimeOptions options_;
 };

@@ -177,53 +177,32 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
       span.arg("fragment", static_cast<double>(fid))
           .arg("level", static_cast<double>(item.level))
           .arg("leader", static_cast<double>(l));
-      WallTimer attempt;
-      wire::FailureMsg fail;
-      fail.fragment_id = item.fragment_id;
-      fail.epoch = item.epoch;
-      fail.level = item.level;
-      bool failed = false;
-      try {
+      Attempt a = run_attempt(token, [&] {
         QFR_REQUIRE(fid < drive.fragments.size() &&
                         drive.fragments[fid].n_atoms() == item.n_atoms,
                     "task/fragment identity mismatch on the wire");
-        token.throw_if_cancelled();
-        common::CancelScope scope(token);
-        wire::ResultMsg rm;
-        rm.fragment_id = item.fragment_id;
-        rm.epoch = item.epoch;
-        rm.level = item.level;
-        rm.result = drive.compute_at(drive.fragments[fid],
+        return drive.ladder->compute(drive.fragments[fid],
                                      static_cast<std::size_t>(item.level));
-        rm.seconds = attempt.seconds();
+      });
+      if (a.reason == FailureReason::kNone) {
         // cache_hit/reuse_tier are deliberately not part of the serialized
         // result record; carry them beside it so the outcome row is right.
-        rm.cache_hit = rm.result.cache_hit;
-        rm.reuse_tier = rm.result.reuse_tier;
-        send(wire::MsgType::kResult, wire::encode_result(rm));
-      } catch (const CancelledError&) {
-        wire::CancelledMsg cm;
-        cm.fragment_id = item.fragment_id;
-        cm.epoch = item.epoch;
-        send(wire::MsgType::kCancelled, wire::encode_cancelled(cm));
-      } catch (const TimeoutError& e) {
-        failed = true;
-        fail.reason = FailureReason::kTimeout;
-        fail.error = e.what();
-      } catch (const NumericalError& e) {
-        failed = true;
-        fail.reason = FailureReason::kNonConvergence;
-        fail.error = e.what();
-      } catch (const std::exception& e) {
-        failed = true;
-        fail.reason = FailureReason::kEngineError;
-        fail.error = e.what();
-      } catch (...) {
-        failed = true;
-        fail.reason = FailureReason::kEngineError;
-        fail.error = "unknown error";
+        send(wire::MsgType::kResult,
+             wire::encode_result({.fragment_id = item.fragment_id,
+                                  .epoch = item.epoch,
+                                  .level = item.level,
+                                  .seconds = a.seconds,
+                                  .cache_hit = a.result.cache_hit,
+                                  .reuse_tier = a.result.reuse_tier,
+                                  .result = std::move(a.result)}));
+      } else if (a.reason == FailureReason::kCancelled) {
+        send(wire::MsgType::kCancelled,
+             wire::encode_cancelled({item.fragment_id, item.epoch}));
+      } else {
+        send(wire::MsgType::kFailure,
+             wire::encode_failure({item.fragment_id, item.epoch, item.level,
+                                   a.reason, std::move(a.error)}));
       }
-      if (failed) send(wire::MsgType::kFailure, wire::encode_failure(fail));
       {
         std::lock_guard<std::mutex> lock(mu);
         inflight.erase({item.fragment_id, item.epoch});
@@ -519,7 +498,7 @@ class ProcessTransport final : public LeaderTransport {
           if (it == outstanding.end()) return true;  // already resolved
           rm.result.cache_hit = rm.cache_hit;
           rm.result.reuse_tier = rm.reuse_tier;
-          detail::deliver_result(drive, l, it->second.lease,
+          detail::deliver_result(drive, it->second.lease,
                                  static_cast<std::size_t>(rm.level),
                                  std::move(rm.result), rm.seconds);
           resolve(it);

@@ -1,11 +1,9 @@
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "qfr/common/cancel.hpp"
-#include "qfr/common/error.hpp"
 #include "qfr/common/thread_pool.hpp"
 #include "qfr/common/timer.hpp"
 #include "qfr/fault/fault_injector.hpp"
@@ -17,8 +15,8 @@
 namespace qfr::runtime {
 namespace {
 
-/// A dispatched task plus the cancel token guarding each fragment; the
-/// tokens stay null when unsupervised.
+/// A dispatched task plus the supervisor's cancel token for each fragment
+/// (none when unsupervised).
 struct ActiveTask {
   LeasedTask task;
   std::vector<common::CancelToken> tokens;
@@ -52,79 +50,10 @@ void leader_main(SweepDrive& drive, std::size_t l) {
   auto fetch = [&]() -> ActiveTask {
     ActiveTask at;
     at.task = scheduler.acquire(0, drive.wall->seconds());
-    at.tokens.resize(at.task.size());
     if (supervised)
-      for (std::size_t k = 0; k < at.task.size(); ++k)
-        at.tokens[k] = supervisor->register_attempt(l, at.task.leases[k]);
+      for (const Lease& lease : at.task.leases)
+        at.tokens.push_back(supervisor->register_attempt(l, lease));
     return at;
-  };
-
-  // Execute one task; failures are routed back through the scheduler
-  // (bounded retry) instead of aborting the sweep, and deliveries under a
-  // revoked lease are fenced out.
-  auto process = [&](ActiveTask& at) {
-    const balance::Task& task = at.task.items;
-    std::vector<engine::FragmentResult> local(task.size());
-    std::vector<std::string> errors(task.size());
-    std::vector<FailureReason> reasons(task.size(),
-                                       FailureReason::kEngineError);
-    std::vector<std::size_t> levels(task.size(), 0);
-    std::vector<char> ok(task.size(), 0);
-    std::vector<char> cancelled(task.size(), 0);
-    std::vector<double> seconds(task.size(), 0.0);
-    workers.parallel_for(task.size(), [&](std::size_t k) {
-      const std::size_t fid = task[k].fragment_id;
-      // Degraded fragments run on their fallback engine from here on.
-      levels[k] = scheduler.engine_level(fid);
-      // Pool threads do not inherit the leader's thread-locals.
-      obs::ScopedSession worker_scope(obs);
-      obs::SpanGuard span(obs, "fragment.compute", "runtime");
-      span.arg("fragment", static_cast<double>(fid))
-          .arg("level", static_cast<double>(levels[k]))
-          .arg("leader", static_cast<double>(l))
-          .arg("n_atoms",
-               static_cast<double>(drive.fragments[fid].n_atoms()));
-      WallTimer attempt;
-      try {
-        // Ambient token for the compute: cancellation-aware engines
-        // (SCF/CPSCF iterations) poll it and bail out mid-solve. The
-        // attempt token (supervisor revocation) is linked with the
-        // run-level token so a cancelled sweep stops in-flight computes.
-        const common::CancelToken token = common::CancelToken::linked(
-            at.tokens[k], options.cancel_token);
-        token.throw_if_cancelled();
-        common::CancelScope scope(token);
-        local[k] = drive.compute_at(drive.fragments[fid], levels[k]);
-        ok[k] = 1;
-        seconds[k] = attempt.seconds();
-      } catch (const CancelledError&) {
-        cancelled[k] = 1;
-        drive.n_cancelled->fetch_add(1, std::memory_order_relaxed);
-      } catch (const TimeoutError& e) {
-        errors[k] = e.what();
-        reasons[k] = FailureReason::kTimeout;
-      } catch (const NumericalError& e) {
-        errors[k] = e.what();
-        reasons[k] = FailureReason::kNonConvergence;
-      } catch (const std::exception& e) {
-        errors[k] = e.what();
-      } catch (...) {
-        errors[k] = "unknown error";
-      }
-    });
-    for (std::size_t k = 0; k < task.size(); ++k) {
-      const Lease& lease = at.task.leases[k];
-      if (cancelled[k]) {
-        // The lease was revoked while computing: the fragment is owned
-        // elsewhere already. Nothing to deliver, no retry consumed.
-      } else if (!ok[k]) {
-        scheduler.fail(lease, errors[k], reasons[k]);
-      } else {
-        detail::deliver_result(drive, l, lease, levels[k],
-                               std::move(local[k]), seconds[k]);
-      }
-      if (supervised) supervisor->release_attempt(l, lease);
-    }
   };
 
   ActiveTask next;  // prefetched
@@ -171,8 +100,9 @@ void leader_main(SweepDrive& drive, std::size_t l) {
       }
     }
     // Prefetch: request the next task before working the current one, so
-    // the master round-trip overlaps with computation. `process` never
-    // throws, so the prefetched task cannot be dropped.
+    // the master round-trip overlaps with computation. execute_leased
+    // never throws for a fragment, so the prefetched task cannot be
+    // dropped.
     if (options.prefetch) {
       next = fetch();
       have_next = true;
@@ -182,7 +112,10 @@ void leader_main(SweepDrive& drive, std::size_t l) {
       obs::SpanGuard task_span(obs, "leader.task", "runtime");
       task_span.arg("leader", static_cast<double>(l))
           .arg("n_fragments", static_cast<double>(current.task.size()));
-      process(current);
+      // Failures are routed back through the scheduler (bounded retry)
+      // instead of aborting the sweep, and deliveries under a revoked
+      // lease are fenced out.
+      execute_leased(drive, l, current.task, current.tokens, workers);
     }
     busy_acc += busy.seconds();
     report.leaders[l].tasks++;

@@ -5,12 +5,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "qfr/balance/packing.hpp"
 #include "qfr/common/cancel.hpp"
 #include "qfr/common/error.hpp"
+#include "qfr/common/thread_pool.hpp"
 #include "qfr/frag/assembly.hpp"
 #include "qfr/obs/export.hpp"
 #include "qfr/obs/session.hpp"
@@ -50,29 +52,21 @@ bool is_terminal(RequestState state) {
 
 namespace detail {
 
-/// Engines shared by every request of one EngineKind: level 0 is the
-/// primary, levels 1.. the qframan fallback chain (degradation AND
-/// overload shedding run down the same ladder). Engines are stateless
-/// per-compute, so concurrent requests share them safely.
+/// Engines shared by every request of one EngineKind: the primary and
+/// the qframan fallback chain below it (degradation AND overload shedding
+/// run down the same ladder). Engines are stateless per-compute, so
+/// concurrent requests share them safely.
 struct EngineBundle {
   std::unique_ptr<engine::FragmentEngine> primary;
   engine::EngineFallbackChain chain;
-  std::size_t n_levels = 1;
-
-  std::string name_at(std::size_t level) const {
-    return level == 0 ? primary->name() : chain.engine(level - 1).name();
-  }
-  const engine::FragmentEngine& engine_at(std::size_t level) const {
-    return level == 0 ? *primary : chain.engine(level - 1);
-  }
 };
 
 /// Server-side state of one request. Lifetime is shared between the
 /// server's active list and every RequestHandle; fields fall into three
-/// synchronization domains: immutable after submit (id, req, bundle,
-/// deadline_at), start-once (fragmentation/scheduler/results, published
-/// by the `started` release store), and the terminal record (state,
-/// outcome, done) guarded by `m`.
+/// synchronization domains: immutable after submit (id, req, ladder,
+/// deadline_at), start-once (fragmentation/scheduler/drive, published by
+/// the `started` release store), and the terminal record (state, outcome,
+/// done) guarded by `m`.
 struct RequestCtx {
   Server* server = nullptr;
   std::size_t id = 0;
@@ -80,7 +74,8 @@ struct RequestCtx {
   ServeStatus admit_status = ServeStatus::kAccepted;
   bool shed = false;
   std::size_t shed_level = 0;
-  EngineBundle* bundle = nullptr;
+  /// The bundle's engines as one cached ladder (runtime::EngineLadder).
+  std::optional<runtime::EngineLadder> ladder;
   double submitted_at = 0.0;
   double deadline_at = std::numeric_limits<double>::infinity();
 
@@ -89,10 +84,13 @@ struct RequestCtx {
   double started_at = -1.0;  ///< written before the `started` release
   frag::Fragmentation fragmentation;
   std::unique_ptr<runtime::SweepScheduler> scheduler;
-  /// Accepted results / wall seconds by fragment id; each slot has a
-  /// single writer (the leader whose delivery the lease fence accepted).
-  std::vector<engine::FragmentResult> results;
-  std::vector<double> frag_seconds;
+  /// The request's sweep as the runtime's leader step sees it: the
+  /// request token cancels its attempts, and accepted results / wall
+  /// seconds land in `report` by fragment id (each slot has a single
+  /// writer, the leader whose delivery the lease fence accepted).
+  runtime::RuntimeOptions runtime_options;
+  runtime::RunReport report;
+  std::optional<runtime::SweepDrive> drive;
   std::unique_ptr<obs::Session> session;
 
   /// Leaders with a dispatched task of this request between acquire and
@@ -223,7 +221,6 @@ detail::EngineBundle& Server::bundle_locked(qframan::EngineKind kind) {
     b->primary = qframan::make_engine(kind, options_.batched_gemm);
     if (options_.enable_fallback)
       b->chain = qframan::make_fallback_chain(kind, options_.batched_gemm);
-    b->n_levels = 1 + b->chain.size();
     slot = std::move(b);
   }
   return *slot;
@@ -278,12 +275,16 @@ RequestHandle Server::submit(SpectrumRequest request) {
                   "tenant '" + ctx->req.tenant + "' exceeded its quota");
   }
 
+  // Namespaced by each level's engine name, the cache is shared across
+  // tenants: a geometry one request already paid for is a hit for every
+  // other.
   detail::EngineBundle& bundle = bundle_locked(ctx->req.engine);
-  ctx->bundle = &bundle;
-  if (decision == AdmitDecision::kAdmitShed && bundle.n_levels > 1) {
+  const runtime::EngineLadder& ladder =
+      ctx->ladder.emplace(*bundle.primary, &bundle.chain, cache_.get());
+  if (decision == AdmitDecision::kAdmitShed && ladder.n_levels() > 1) {
     ctx->shed = true;
     ctx->shed_level =
-        std::min(options_.max_shed_levels, bundle.n_levels - 1);
+        std::min(options_.max_shed_levels, ladder.n_levels() - 1);
     ++stats_.shed;
   }
   const double budget = ctx->req.deadline_seconds > 0.0
@@ -330,7 +331,7 @@ void Server::ensure_started(const CtxPtr& ctx) {
       runtime::SweepOptions sopts;
       sopts.straggler_timeout = options_.straggler_timeout;
       sopts.max_retries = options_.max_retries;
-      sopts.n_engine_levels = c.bundle->n_levels;
+      sopts.n_engine_levels = c.ladder->n_levels();
       sopts.initial_engine_level = c.shed_level;
       sopts.validator = validator_.get();
       sopts.retry_backoff_base = options_.retry_backoff_base;
@@ -339,8 +340,17 @@ void Server::ensure_started(const CtxPtr& ctx) {
       c.scheduler = std::make_unique<runtime::SweepScheduler>(
           std::move(items), balance::make_size_sensitive_policy(),
           std::move(sopts));
-      c.results.resize(n);
-      c.frag_seconds.assign(n, 0.0);
+      c.report.results.resize(n);
+      c.report.fragment_seconds.assign(n, 0.0);
+      c.runtime_options.cancel_token = c.cancel.token();
+      c.drive.emplace(runtime::SweepDrive{
+          .options = c.runtime_options,
+          .fragments = c.fragmentation.fragments,
+          .scheduler = *c.scheduler,
+          .obs = c.session.get(),
+          .ladder = &*c.ladder,
+          .report = &c.report,
+          .n_cancelled = &c.n_compute_cancelled});
       c.started_at = clock_.seconds();
       {
         std::lock_guard<std::mutex> lk(c.m);
@@ -353,20 +363,6 @@ void Server::ensure_started(const CtxPtr& ctx) {
       c.start_error = e.what();
     }
   });
-}
-
-engine::FragmentResult Server::compute_at(detail::RequestCtx& ctx,
-                                          const frag::Fragment& fragment,
-                                          std::size_t level) {
-  auto raw = [&]() -> engine::FragmentResult {
-    return runtime::compute_with_engine(ctx.bundle->engine_at(level),
-                                        fragment);
-  };
-  if (cache_ == nullptr) return raw();
-  // Namespaced by the level's engine name, shared across tenants: a
-  // geometry one request already paid for is a hit for every other.
-  return cache_->get_or_compute(ctx.bundle->name_at(level), fragment.mol,
-                                raw);
 }
 
 bool Server::process(std::size_t leader, const CtxPtr& ctx) {
@@ -397,39 +393,11 @@ bool Server::process(std::size_t leader, const CtxPtr& ctx) {
     }
   }
 
-  // Route engine metrics/trace into the request's private session.
-  obs::ScopedSession ambient(ctx->session.get());
+  // The runtime's leader step on a caller-only pool: the task's fragments,
+  // and each fragment's displacement jobs, run serially on this thread.
   ctx->inflight.fetch_add(1, std::memory_order_acq_rel);
-  for (std::size_t k = 0; k < task.size(); ++k) {
-    const balance::WorkItem& item = task.items[k];
-    const runtime::Lease& lease = task.leases[k];
-    const frag::Fragment& fragment =
-        ctx->fragmentation.fragments[item.fragment_id];
-    const std::size_t level = sched.engine_level(item.fragment_id);
-    WallTimer timer;
-    try {
-      const common::CancelToken token = ctx->cancel.token();
-      token.throw_if_cancelled();
-      common::CancelScope scope(token);
-      obs::SpanGuard span(ctx->session.get(), "serve.fragment", "serve");
-      engine::FragmentResult result = compute_at(*ctx, fragment, level);
-      if (sched.on_completion(lease, result, ctx->bundle->name_at(level)) ==
-          runtime::Completion::kAccepted) {
-        ctx->frag_seconds[item.fragment_id] = timer.seconds();
-        ctx->results[item.fragment_id] = std::move(result);
-      }
-    } catch (const CancelledError&) {
-      // Deadline/cancel fired mid-compute; cancel_pending already fenced
-      // the lease, so there is nothing to report.
-      ctx->n_compute_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (const TimeoutError& e) {
-      sched.fail(lease, e.what(), runtime::FailureReason::kTimeout);
-    } catch (const NumericalError& e) {
-      sched.fail(lease, e.what(), runtime::FailureReason::kNonConvergence);
-    } catch (const std::exception& e) {
-      sched.fail(lease, e.what(), runtime::FailureReason::kEngineError);
-    }
-  }
+  ThreadPool caller_only(0);
+  runtime::execute_leased(*ctx->drive, leader, task, {}, caller_only);
   ctx->inflight.fetch_sub(1, std::memory_order_acq_rel);
   if (sched.finished()) maybe_finalize(ctx);
   return true;
@@ -516,7 +484,7 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
   rep.admit_status = c.admit_status;
   rep.shed = c.shed;
   rep.engine_level_start = c.shed_level;
-  rep.engine = c.bundle != nullptr ? c.bundle->name_at(0) : "";
+  rep.engine = c.ladder ? c.ladder->name(0) : "";
   rep.submitted_at = c.submitted_at;
   rep.started_at = started ? c.started_at : -1.0;
   rep.finished_at = clock_.seconds();
@@ -544,68 +512,54 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
   double solver_seconds = 0.0;
   if (started) {
     const runtime::SweepScheduler& sched = *c.scheduler;
+    // Per-request sweep report, filled from the request's scheduler like
+    // any runtime sweep; the results were delivered into it by the pool.
+    runtime::RunReport& rr = c.report;
+    runtime::record_sweep(sched, rr);
+    rr.n_cancelled = rep.n_compute_cancelled;
+    rr.makespan_seconds = rep.run_seconds;
     rep.fragmentation_policy = c.fragmentation.stats.policy;
     rep.n_cut_bonds = c.fragmentation.stats.n_cut_bonds;
     rep.balance_factor = c.fragmentation.stats.balance_factor;
     rep.n_fragments = sched.n_fragments();
-    rep.n_tasks = sched.n_tasks();
-    rep.n_requeued = sched.n_requeued();
-    rep.n_retries = sched.n_retries();
-    rep.n_fault_retries = sched.n_fault_retries();
-    rep.n_reject_retries = sched.n_reject_retries();
-    rep.n_rejected = sched.n_rejected();
+    rep.n_tasks = rr.n_tasks;
+    rep.n_requeued = rr.n_requeued;
+    rep.n_retries = rr.n_retries;
+    rep.n_fault_retries = rr.n_fault_retries;
+    rep.n_reject_retries = rr.n_reject_retries;
+    rep.n_rejected = rr.n_rejected;
     rep.n_degraded = sched.n_degraded();
     rep.n_failed = sched.n_failed();
-    rep.outcomes = sched.outcomes();
-    for (const runtime::FragmentOutcome& o : rep.outcomes)
-      if (o.completed && o.cache_hit) ++rep.n_cache_hits;
+    rep.n_cache_hits = rr.n_cache_hits();
+    rep.outcomes = rr.outcomes;
 
     if (st == RequestState::kCompleted && rep.n_failed > 0) {
       st = RequestState::kFailed;
       std::ostringstream os;
       os << rep.n_failed << " of " << rep.n_fragments
-         << " fragments failed permanently";
-      for (const runtime::FragmentOutcome& o : rep.outcomes)
-        if (!o.completed) {
-          os << "; first: fragment " << o.fragment_id << " ["
-             << runtime::to_string(o.reason) << "]: " << o.error;
-          break;
-        }
+         << " fragments failed permanently; first: "
+         << runtime::first_failure(rr.outcomes);
       err = os.str();
     }
     if (st == RequestState::kCompleted) {
       try {
         obs::ScopedSession ambient(c.session.get());
-        frag::AssemblyOptions aopts;
         frag::GlobalProperties props;
         {
           obs::SpanGuard span(c.session.get(), "serve.assembly", "serve");
           props = frag::assemble_global_properties(
-              c.req.system, c.fragmentation.fragments, c.results, aopts);
+              c.req.system, c.fragmentation.fragments, rr.results,
+              frag::AssemblyOptions{});
         }
-        const std::size_t dim = props.hessian_mw.rows();
-        qframan::SolverKind solver = c.req.solver;
-        if (solver == qframan::SolverKind::kAuto)
-          solver = dim <= 600 ? qframan::SolverKind::kExact
-                              : qframan::SolverKind::kLanczosGagq;
         const la::Vector axis = spectra::wavenumber_axis(
             c.req.omega_min_cm, c.req.omega_max_cm, c.req.omega_points);
         WallTimer solve_timer;
         obs::SpanGuard span(c.session.get(), "serve.solve", "serve");
-        if (solver == qframan::SolverKind::kExact) {
-          const la::Matrix dense = props.hessian_mw.to_dense();
-          out.spectrum = spectra::raman_spectrum_exact(
-              dense, props.dalpha_mw, axis, c.req.sigma_cm);
-          out.used_lanczos = false;
-        } else {
-          spectra::LanczosOptions lopts;
-          lopts.steps = c.req.lanczos_steps;
-          const bool gagq = solver == qframan::SolverKind::kLanczosGagq;
-          out.spectrum = spectra::raman_spectrum_lanczos(
-              props.hessian_mw, props.dalpha_mw, axis, c.req.sigma_cm,
-              lopts, gagq);
-          out.used_lanczos = true;
-        }
+        qframan::SolvedSpectra solved = qframan::solve_spectra(
+            props, axis, c.req.sigma_cm, c.req.solver, c.req.lanczos_steps,
+            /*compute_ir=*/false);
+        out.spectrum = std::move(solved.raman);
+        out.used_lanczos = solved.used_lanczos;
         solver_seconds = solve_timer.seconds();
       } catch (const std::exception& e) {
         st = RequestState::kFailed;
@@ -613,21 +567,6 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
       }
     }
 
-    // Per-request machine-readable record (schema qfr.run_report.v1) from
-    // the request's private session plus a sweep report assembled from
-    // its scheduler.
-    runtime::RunReport rr;
-    rr.n_tasks = rep.n_tasks;
-    rr.n_requeued = rep.n_requeued;
-    rr.n_retries = rep.n_retries;
-    rr.n_fault_retries = rep.n_fault_retries;
-    rr.n_reject_retries = rep.n_reject_retries;
-    rr.n_rejected = rep.n_rejected;
-    rr.cancelled = sched.cancelled();
-    rr.n_cancelled = rep.n_compute_cancelled;
-    rr.outcomes = rep.outcomes;
-    rr.fragment_seconds = c.frag_seconds;
-    rr.makespan_seconds = rep.run_seconds;
     obs::RunContext rctx;
     rctx.engine = rep.engine;
     rctx.n_fragments = rep.n_fragments;

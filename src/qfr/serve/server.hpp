@@ -283,9 +283,6 @@ class Server {
   std::vector<CtxPtr> ordered_active();
   void ensure_started(const CtxPtr& ctx);
   bool process(std::size_t leader, const CtxPtr& ctx);
-  engine::FragmentResult compute_at(detail::RequestCtx& ctx,
-                                    const frag::Fragment& fragment,
-                                    std::size_t level);
   /// First-wins terminal transition for cancel/deadline/shutdown; fires
   /// the request CancelSource and cancels the scheduler.
   bool request_cancel(const CtxPtr& ctx, RequestState terminal,

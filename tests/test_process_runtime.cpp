@@ -22,6 +22,8 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <source_location>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "qfr/cache/store.hpp"
 #include "qfr/chem/molecule.hpp"
 #include "qfr/cluster/des.hpp"
+#include "qfr/common/error.hpp"
 #include "qfr/common/timer.hpp"
 #include "qfr/fault/chaos.hpp"
 #include "qfr/fault/fault_injector.hpp"
@@ -89,13 +92,23 @@ engine::FragmentResult fake_result(std::size_t id) {
 TEST(ProcessParity, ThreadedProcessAndDesAgreeOnOneSweep) {
   const std::size_t n_frag = 12;
   const auto frags = water_fragments(n_frag);
-  auto compute = [](const frag::Fragment& f) { return fake_result(f.id); };
+  // Three fragments fail for good, one per failure class, so both
+  // transports must classify the same throws the same way.
+  const std::set<std::size_t> failing = {3, 5, 7};
+  auto compute = [](const frag::Fragment& f) {
+    const auto here = std::source_location::current();
+    if (f.id == 3) throw TimeoutError("fragment 3 watchdog", here);
+    if (f.id == 5) throw NumericalError("fragment 5 diverged", here);
+    if (f.id == 7) throw std::runtime_error("fragment 7 crashed");
+    return fake_result(f.id);
+  };
 
   auto run_with = [&](TransportKind transport, CountingSink* sink) {
     RuntimeOptions ropts;
     ropts.n_leaders = 2;
     ropts.transport = transport;
     ropts.sink = sink;
+    ropts.abort_on_failure = false;
     const MasterRuntime rt(std::move(ropts));
     return rt.run(frags, compute);
   };
@@ -105,15 +118,27 @@ TEST(ProcessParity, ThreadedProcessAndDesAgreeOnOneSweep) {
   CountingSink process_sink(n_frag);
   const RunReport process = run_with(TransportKind::kProcess, &process_sink);
 
-  ASSERT_EQ(threaded.n_failed(), 0u);
-  ASSERT_EQ(process.n_failed(), 0u);
+  EXPECT_EQ(threaded.n_failed(), failing.size());
+  EXPECT_EQ(process.n_failed(), threaded.n_failed());
+  EXPECT_EQ(process.n_fault_retries, threaded.n_fault_retries);
+  EXPECT_EQ(threaded.n_fault_retries, failing.size() * 2);  // max_retries
   EXPECT_EQ(process.n_leader_crashes, 0u);
+  EXPECT_EQ(threaded.outcomes[3].reason, FailureReason::kTimeout);
+  EXPECT_EQ(threaded.outcomes[5].reason, FailureReason::kNonConvergence);
+  EXPECT_EQ(threaded.outcomes[7].reason, FailureReason::kEngineError);
+  EXPECT_EQ(threaded.outcomes[7].error, "fragment 7 crashed");
   for (std::size_t id = 0; id < n_frag; ++id) {
-    EXPECT_EQ(threaded_sink.counts()[id], 1) << "fragment " << id;
-    EXPECT_EQ(process_sink.counts()[id], 1) << "fragment " << id;
+    const int delivered = failing.count(id) != 0u ? 0 : 1;
+    EXPECT_EQ(threaded_sink.counts()[id], delivered) << "fragment " << id;
+    EXPECT_EQ(process_sink.counts()[id], delivered) << "fragment " << id;
+    EXPECT_EQ(process.outcomes[id].completed, threaded.outcomes[id].completed)
+        << "fragment " << id;
+    EXPECT_EQ(process.outcomes[id].reason, threaded.outcomes[id].reason)
+        << "fragment " << id;
+    EXPECT_EQ(process.outcomes[id].error, threaded.outcomes[id].error)
+        << "fragment " << id;
     // Bitwise parity: the result crossed the wire as raw IEEE-754 bytes.
     EXPECT_EQ(process.results[id].energy, threaded.results[id].energy);
-    EXPECT_TRUE(process.outcomes[id].completed);
   }
 
   // The DES mirror of the same sweep shape covers every fragment and

@@ -4,9 +4,12 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <source_location>
+#include <stdexcept>
 
 #include "qfr/chem/protein.hpp"
 #include "qfr/cluster/des.hpp"
+#include "qfr/common/cancel.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/fault/validator.hpp"
 #include "qfr/frag/fragmentation.hpp"
@@ -32,6 +35,50 @@ std::vector<WorkItem> simple_items(std::size_t n) {
 Completion deliver(SweepScheduler& sched, const LeasedTask& task,
                    std::size_t k, std::string_view engine = {}) {
   return sched.on_completion(task.leases[k], engine::FragmentResult{}, engine);
+}
+
+TEST(Attempt, ClassifiesEveryThrow) {
+  const common::CancelToken none;
+  auto throwing = [&](auto thrown) {
+    return run_attempt(none, [&]() -> engine::FragmentResult {
+      throw thrown;
+    });
+  };
+  const auto here = std::source_location::current();
+  EXPECT_EQ(throwing(CancelledError("revoked", here)).reason,
+            FailureReason::kCancelled);
+  const TimeoutError watchdog("watchdog", here);
+  const Attempt timeout = throwing(watchdog);
+  EXPECT_EQ(timeout.reason, FailureReason::kTimeout);
+  EXPECT_EQ(timeout.error, watchdog.what());
+  const NumericalError diverged("scf diverged", here);
+  const Attempt nonconv = throwing(diverged);
+  EXPECT_EQ(nonconv.reason, FailureReason::kNonConvergence);
+  EXPECT_EQ(nonconv.error, diverged.what());
+  const Attempt crashed = throwing(std::runtime_error("segfault proxy"));
+  EXPECT_EQ(crashed.reason, FailureReason::kEngineError);
+  EXPECT_EQ(crashed.error, "segfault proxy");
+  const Attempt foreign = throwing(42);
+  EXPECT_EQ(foreign.reason, FailureReason::kEngineError);
+  EXPECT_EQ(foreign.error, "unknown error");
+
+  // A completed attempt carries its result and wall time; a token that
+  // fired before the start cancels without running the compute.
+  engine::FragmentResult r;
+  r.energy = -76.0;
+  const Attempt done = run_attempt(none, [&] { return r; });
+  EXPECT_EQ(done.reason, FailureReason::kNone);
+  EXPECT_EQ(done.result.energy, -76.0);
+  EXPECT_GE(done.seconds, 0.0);
+  common::CancelSource source;
+  source.cancel();
+  bool ran = false;
+  const Attempt early = run_attempt(source.token(), [&] {
+    ran = true;
+    return r;
+  });
+  EXPECT_EQ(early.reason, FailureReason::kCancelled);
+  EXPECT_FALSE(ran);
 }
 
 TEST(SweepScheduler, DrainsEveryFragmentExactlyOnce) {

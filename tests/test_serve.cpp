@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "qfr/chem/molecule.hpp"
+#include "qfr/chem/protein.hpp"
 #include "qfr/common/rng.hpp"
 #include "qfr/fault/chaos.hpp"
 #include "qfr/obs/json.hpp"
@@ -92,25 +96,72 @@ TEST(Admission, QuotaIsPerTenantAndRejectionsDoNotConsumeTokens) {
 // ---------------------------------------------------------------------------
 // Server basics
 
-TEST(Serve, CompletesAndMatchesSoloWorkflowBitwise) {
-  // The serving path (shared pool, per-request scheduler, no cache) must
-  // reproduce the solo RamanWorkflow spectrum exactly.
+/// Parse a qfr.run_report.v1 document.
+obs::Json parse_report(const std::string& text) {
+  std::string err;
+  std::optional<obs::Json> j = obs::Json::parse(text, &err);
+  EXPECT_TRUE(j.has_value()) << err;
+  return j.value_or(obs::Json::object());
+}
+
+double report_value(const obs::Json& report, std::string_view section,
+                    std::string_view key) {
+  const obs::Json* s = report.find(section);
+  const obs::Json* v = s != nullptr ? s->find(key) : nullptr;
+  EXPECT_NE(v, nullptr) << section << "." << key;
+  return v != nullptr ? v->as_double() : -1.0;
+}
+
+double histogram_count(const obs::Json& report, std::string_view name) {
+  const obs::Json* metrics = report.find("metrics");
+  const obs::Json* hists =
+      metrics != nullptr ? metrics->find("histograms") : nullptr;
+  const obs::Json* h = hists != nullptr ? hists->find(name) : nullptr;
+  EXPECT_NE(h, nullptr) << name;
+  return h != nullptr ? h->find("count")->as_double() : -1.0;
+}
+
+/// The same spectrum request through a solo RamanWorkflow and through the
+/// serving path (shared pool, per-request scheduler, no cache): the
+/// spectra must be bitwise identical and the two run reports must agree.
+void expect_serve_matches_workflow(const frag::BioSystem& system,
+                                   bool expect_lanczos,
+                                   const std::string& tag) {
+  const std::string report_path =
+      std::string(::testing::TempDir()) + "qfr_serve_vs_workflow_" + tag +
+      ".json";
   qframan::WorkflowOptions wopts;
   wopts.sigma_cm = 20.0;
   wopts.omega_points = 400;
+  wopts.report_path = report_path;
   const qframan::WorkflowResult solo =
-      qframan::RamanWorkflow(wopts).run(water_cluster(6));
+      qframan::RamanWorkflow(wopts).run(system);
+  std::string solo_text;
+  {
+    std::ifstream is(report_path);
+    solo_text.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  std::remove(report_path.c_str());
+  std::remove((report_path + ".outcomes.csv").c_str());
+  EXPECT_EQ(solo.used_lanczos, expect_lanczos);
 
   ServerOptions sopts;
   sopts.n_leaders = 2;
   Server server(sopts);
-  RequestHandle h = server.submit(water_request(6));
+  SpectrumRequest req;
+  req.system = system;
+  req.sigma_cm = 20.0;
+  req.omega_points = 400;
+  RequestHandle h = server.submit(req);
   ASSERT_TRUE(h.admitted());
   const RequestOutcome& out = h.wait();
   ASSERT_EQ(out.state, RequestState::kCompleted) << out.error;
+  EXPECT_EQ(out.used_lanczos, expect_lanczos);
   ASSERT_EQ(out.spectrum.intensity.size(), solo.spectrum.intensity.size());
-  for (std::size_t i = 0; i < out.spectrum.intensity.size(); ++i)
-    EXPECT_DOUBLE_EQ(out.spectrum.intensity[i], solo.spectrum.intensity[i]);
+  for (std::size_t i = 0; i < out.spectrum.intensity.size(); ++i) {
+    EXPECT_EQ(out.spectrum.omega_cm[i], solo.spectrum.omega_cm[i]);
+    EXPECT_EQ(out.spectrum.intensity[i], solo.spectrum.intensity[i]) << i;
+  }
 
   const RequestReport& rep = out.report;
   EXPECT_EQ(rep.n_fragments, solo.sweep.n_fragments);
@@ -118,18 +169,94 @@ TEST(Serve, CompletesAndMatchesSoloWorkflowBitwise) {
   EXPECT_FALSE(rep.shed);
   EXPECT_GE(rep.started_at, rep.submitted_at);
   EXPECT_GE(rep.finished_at, rep.started_at);
-  // The per-request run report is valid qfr.run_report.v1 JSON.
-  std::string jerr;
-  const std::optional<obs::Json> j =
-      obs::Json::parse(rep.run_report_json, &jerr);
-  ASSERT_TRUE(j.has_value()) << jerr;
-  const obs::Json* schema = j->find("schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->as_string(), "qfr.run_report.v1");
-  const obs::Json* sched = j->find("scheduler");
-  ASSERT_NE(sched, nullptr);
-  ASSERT_NE(sched->find("n_failed"), nullptr);
-  EXPECT_EQ(sched->find("n_failed")->as_double(), 0.0);
+  ASSERT_EQ(rep.outcomes.size(), solo.sweep.outcomes.size());
+  for (std::size_t i = 0; i < rep.outcomes.size(); ++i) {
+    EXPECT_EQ(rep.outcomes[i].completed, solo.sweep.outcomes[i].completed);
+    EXPECT_EQ(rep.outcomes[i].engine, solo.sweep.outcomes[i].engine);
+    EXPECT_EQ(rep.outcomes[i].engine_level,
+              solo.sweep.outcomes[i].engine_level);
+  }
+
+  // Both run reports are qfr.run_report.v1 documents with the same sweep
+  // accounting, and both carry the runtime's per-fragment compute
+  // histogram: one accepted attempt per fragment.
+  const obs::Json served = parse_report(rep.run_report_json);
+  const obs::Json workflow = parse_report(solo_text);
+  for (const obs::Json* j : {&served, &workflow}) {
+    ASSERT_NE(j->find("schema"), nullptr);
+    EXPECT_EQ(j->find("schema")->as_string(), "qfr.run_report.v1");
+    EXPECT_EQ(histogram_count(*j, "fragment.compute.seconds"),
+              static_cast<double>(rep.n_fragments));
+  }
+  EXPECT_EQ(report_value(served, "run", "n_fragments"),
+            report_value(workflow, "run", "n_fragments"));
+  for (const char* key : {"n_failed", "n_degraded", "n_cache_hits"})
+    EXPECT_EQ(report_value(served, "scheduler", key),
+              report_value(workflow, "scheduler", key))
+        << key;
+  EXPECT_EQ(report_value(served, "scheduler", "n_failed"), 0.0);
+}
+
+TEST(Serve, CompletesAndMatchesSoloWorkflowBitwise) {
+  // 18 atoms: the exact solver branch.
+  expect_serve_matches_workflow(water_cluster(6), /*expect_lanczos=*/false,
+                                "exact");
+}
+
+TEST(Serve, MatchesSoloWorkflowBitwiseOnTheLanczosBranch) {
+  // A solvated peptide above 3N = 600: the Lanczos+GAGQ branch.
+  frag::BioSystem sys;
+  chem::ProteinBuildOptions popts;
+  popts.n_residues = 8;
+  popts.seed = 7;
+  sys.chains.push_back(chem::build_synthetic_protein(popts));
+  chem::WaterBoxOptions wbox;
+  wbox.edge_angstrom = 20.0;
+  wbox.seed = 3;
+  sys.waters = chem::build_water_box(wbox, sys.chains[0].mol);
+  const geom::Vec3 center = sys.chains[0].mol.centroid();
+  std::sort(sys.waters.begin(), sys.waters.end(),
+            [&](const chem::Molecule& a, const chem::Molecule& b) {
+              return (a.centroid() - center).norm() <
+                     (b.centroid() - center).norm();
+            });
+  ASSERT_GE(sys.waters.size(), 40u);
+  sys.waters.resize(40);
+  ASSERT_GT(3 * sys.n_atoms(), 600u);
+  expect_serve_matches_workflow(sys, /*expect_lanczos=*/true, "lanczos");
+}
+
+TEST(Serve, KillDrillRevocationsReachTheRunReport) {
+  // A leader-kill drill revokes the leases of the task the pool slot
+  // held; the request's run report must count them.
+  fault::FaultPlan plan;
+  fault::FaultRule kill;
+  kill.kind = fault::FaultKind::kLeaderKill;
+  kill.fragment_id = 0;  // the kLeader site is keyed on the pool slot
+  kill.max_hits = 1;
+  plan.rules.push_back(kill);
+  fault::FaultInjector injector(plan);
+  ServerOptions sopts;
+  sopts.n_leaders = 1;
+  sopts.fault_injector = &injector;
+  Server server(sopts);
+  RequestHandle h = server.submit(water_request(6));
+  const RequestOutcome& out = h.wait();
+  ASSERT_EQ(out.state, RequestState::kCompleted) << out.error;
+  EXPECT_EQ(server.stats().leader_crash_drills, 1u);
+
+  // In this fault-free sweep only a revocation re-dispatches a fragment,
+  // so the extra attempts are the scheduler's n_revoked().
+  EXPECT_EQ(out.report.n_retries, 0u);
+  EXPECT_EQ(out.report.n_requeued, 0u);
+  std::size_t revoked = 0;
+  for (const runtime::FragmentOutcome& o : out.report.outcomes)
+    revoked += o.attempts - 1;
+  const obs::Json report = parse_report(out.report.run_report_json);
+  const double reported =
+      report_value(report, "scheduler", "n_leases_revoked");
+  EXPECT_GE(reported, 1.0);
+  EXPECT_EQ(reported, static_cast<double>(revoked));
 }
 
 TEST(Serve, TypedRejectionsUnderOverloadAndQuota) {
