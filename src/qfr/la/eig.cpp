@@ -90,7 +90,9 @@ double hypot2(double a, double b) { return std::hypot(a, b); }
 
 // Implicit-shift QL iteration on a tridiagonal matrix. d/e as from tred2
 // (e[0] = 0, e[i] couples i-1 and i). If z is non-null its columns are
-// rotated along, producing eigenvectors of the original matrix.
+// rotated along, producing eigenvectors of the original matrix. Each row
+// of z is rotated on its own, so z may hold any subset of the rows (one
+// row costs O(n) per sweep instead of O(n^2)).
 void tql2(Vector& d, Vector& e, Matrix* z) {
   const std::size_t n = d.size();
   if (n == 0) return;
@@ -135,7 +137,7 @@ void tql2(Vector& d, Vector& e, Matrix* z) {
           d[i + 1] = g + p;
           g = c * r - b;
           if (z != nullptr) {
-            for (std::size_t k = 0; k < n; ++k) {
+            for (std::size_t k = 0; k < z->rows(); ++k) {
               f = (*z)(k, i + 1);
               (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
               (*z)(k, i) = c * (*z)(k, i) - s * f;
@@ -168,6 +170,23 @@ void sort_ascending(Vector& d, Matrix* z) {
   }
 }
 
+// QL on the tridiagonal (diag, sub), rotating the rows of `z` along:
+// z = I gives every eigenvector, z = e_0^T only their first components.
+EigResult tridiagonal_ql(std::span<const double> diag,
+                         std::span<const double> sub, Matrix z) {
+  const std::size_t n = diag.size();
+  QFR_REQUIRE(sub.size() + 1 == n || (n == 0 && sub.empty()),
+              "subdiagonal must have n-1 entries");
+  EigResult res;
+  res.values.assign(diag.begin(), diag.end());
+  Vector e(n, 0.0);
+  for (std::size_t i = 1; i < n; ++i) e[i] = sub[i - 1];
+  res.vectors = std::move(z);
+  tql2(res.values, e, &res.vectors);
+  sort_ascending(res.values, &res.vectors);
+  return res;
+}
+
 }  // namespace
 
 EigResult eigh(const Matrix& a) {
@@ -193,17 +212,14 @@ Vector eigvalsh(const Matrix& a) {
 
 EigResult eigh_tridiagonal(std::span<const double> diag,
                            std::span<const double> sub) {
-  const std::size_t n = diag.size();
-  QFR_REQUIRE(sub.size() + 1 == n || (n == 0 && sub.empty()),
-              "subdiagonal must have n-1 entries");
-  EigResult res;
-  res.values.assign(diag.begin(), diag.end());
-  Vector e(n, 0.0);
-  for (std::size_t i = 1; i < n; ++i) e[i] = sub[i - 1];
-  res.vectors = Matrix::identity(n);
-  tql2(res.values, e, &res.vectors);
-  sort_ascending(res.values, &res.vectors);
-  return res;
+  return tridiagonal_ql(diag, sub, Matrix::identity(diag.size()));
+}
+
+EigResult eigh_tridiagonal_first_row(std::span<const double> diag,
+                                     std::span<const double> sub) {
+  Matrix e0(diag.empty() ? 0 : 1, diag.size());
+  if (!diag.empty()) e0(0, 0) = 1.0;
+  return tridiagonal_ql(diag, sub, std::move(e0));
 }
 
 Matrix cholesky(const Matrix& b) {

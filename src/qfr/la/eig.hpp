@@ -30,6 +30,14 @@ Vector eigvalsh(const Matrix& a);
 EigResult eigh_tridiagonal(std::span<const double> diag,
                            std::span<const double> sub);
 
+/// Eigenvalues and the first component of every eigenvector of the same
+/// tridiagonal matrix (Golub-Welsch): `vectors` is 1 x n, bitwise row 0 of
+/// eigh_tridiagonal's. The QL sweeps carry e_0^T instead of the identity,
+/// so the cost is O(n^2) instead of O(n^3). Gauss quadrature needs only
+/// these components.
+EigResult eigh_tridiagonal_first_row(std::span<const double> diag,
+                                     std::span<const double> sub);
+
 /// Generalized symmetric-definite eigenproblem A x = lambda B x with B SPD,
 /// solved by Cholesky reduction (this is the Roothaan equation
 /// F C = S C eps of the SCF module).

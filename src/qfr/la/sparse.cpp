@@ -46,9 +46,6 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
 void CsrMatrix::matvec(double alpha, std::span<const double> x, double beta,
                        std::span<double> y) const {
   QFR_REQUIRE(x.size() == cols_ && y.size() == rows_, "matvec shape mismatch");
-#ifdef QFR_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)

@@ -138,9 +138,6 @@ la::Vector MultipolePoisson::solve(std::span<const double> rho) const {
   const RadialSolution sol = solve_moments(rho);
   const auto points = grid_.points();
   la::Vector v(points.size(), 0.0);
-#ifdef QFR_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (std::size_t p = 0; p < points.size(); ++p)
     v[p] = evaluate(sol, points[p].r);
   return v;

@@ -1,11 +1,14 @@
 #include "qfr/spectra/lanczos.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/la/eig.hpp"
+#include "qfr/obs/session.hpp"
 
 namespace qfr::spectra {
 
@@ -35,11 +38,19 @@ LanczosResult lanczos(const MatVec& op, std::span<const double> start,
 
   la::Vector w(n, 0.0);
   double beta_prev = 0.0;
-  la::Vector q_prev(n, 0.0);
+
+  // Simon's estimates of the basis inner products: omega[i] ~ q_j . q_i
+  // and omega_prev[i] ~ q_{j-1} . q_i, with omega[j] = 1. eps1 is the
+  // rounding level of one step (a matvec sums ~n products).
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double eps1 = eps * std::sqrt(static_cast<double>(n));
+  const double threshold = std::sqrt(eps);
+  std::vector<double> omega{1.0}, omega_prev, omega_next;
+  bool reorthogonalize_next = false;
 
   for (int j = 0; j < k; ++j) {
     op(basis.back(), w);
-    if (j > 0) la::axpy(-beta_prev, q_prev, w);
+    if (j > 0) la::axpy(-beta_prev, basis[j - 1], w);
     const double alpha = la::dot(basis.back(), w);
     if (!std::isfinite(alpha))
       QFR_NUMERIC_FAIL("Lanczos diagonal coefficient alpha["
@@ -49,17 +60,40 @@ LanczosResult lanczos(const MatVec& op, std::span<const double> start,
     res.alpha.push_back(alpha);
     res.steps = j + 1;
 
-    if (options.full_reorthogonalization) {
-      // Two passes of classical Gram-Schmidt against the whole basis.
-      for (int pass = 0; pass < 2; ++pass)
-        for (const auto& v : basis) la::axpy(-la::dot(v, w), v, w);
-    }
-
-    const double beta = la::nrm2(w);
+    double beta = la::nrm2(w);
     if (!std::isfinite(beta))
       QFR_NUMERIC_FAIL("Lanczos off-diagonal coefficient beta["
                        << j << "] is non-finite: the operator produced "
                           "NaN/Inf (corrupted Hessian entries?)");
+    // omega_next[i] ~ q_{j+1} . q_i from the three-term recurrence (Simon
+    // 1984), the rounding term taken with the estimate's sign.
+    // A breakdown leaves q_{j+1} unbuilt, so its estimate is moot.
+    omega_next.assign(j + 2, eps1);
+    omega_next[j + 1] = 1.0;
+    bool lost = false;
+    if (beta >= options.breakdown_tolerance) {
+      const std::span<const double> a = res.alpha, b = res.beta;
+      for (int i = 0; i < j; ++i) {
+        double t = b[i] * omega[i + 1] + (a[i] - alpha) * omega[i] -
+                   beta_prev * omega_prev[i];
+        if (i > 0) t += b[i - 1] * omega[i - 1];
+        t += std::copysign(eps1 * (b[i] + beta), t);
+        omega_next[i] = t / beta;
+        lost = lost || std::fabs(omega_next[i]) > threshold;
+      }
+    }
+    // A step that lost orthogonality and the step after it get two
+    // classical Gram-Schmidt passes against the whole basis: q_{j+2} is
+    // built from q_{j+1} and q_j, so both must be clean (Simon).
+    if (lost || reorthogonalize_next) {
+      for (int pass = 0; pass < 2; ++pass)
+        for (const auto& v : basis) la::axpy(-la::dot(v, w), v, w);
+      beta = la::nrm2(w);
+      std::fill(omega_next.begin(), omega_next.end() - 1, eps1);
+      ++res.n_reorthogonalized;
+    }
+    reorthogonalize_next = lost;
+
     if (j + 1 == k) {
       res.final_beta = beta;
       break;
@@ -69,11 +103,18 @@ LanczosResult lanczos(const MatVec& op, std::span<const double> start,
       break;
     }
     res.beta.push_back(beta);
-    q_prev = basis.back();
     beta_prev = beta;
     la::Vector next = w;
     la::scal(1.0 / beta, next);
     basis.push_back(std::move(next));
+    std::swap(omega_prev, omega);
+    std::swap(omega, omega_next);
+  }
+  if (obs::Session* s = obs::current()) {
+    s->metrics().counter("spectra.lanczos.steps").add(res.steps);
+    s->metrics()
+        .counter("spectra.lanczos.reorthogonalized")
+        .add(res.n_reorthogonalized);
   }
   return res;
 }
@@ -83,7 +124,7 @@ namespace {
 SpectralMeasure measure_from_tridiagonal(std::span<const double> diag,
                                          std::span<const double> sub,
                                          double start_norm) {
-  const la::EigResult eig = la::eigh_tridiagonal(diag, sub);
+  const la::EigResult eig = la::eigh_tridiagonal_first_row(diag, sub);
   SpectralMeasure m;
   m.nodes = eig.values;
   m.weights.resize(eig.values.size());

@@ -22,20 +22,32 @@ struct LanczosResult {
   double final_beta = 0.0;
   double start_norm = 0.0;
   int steps = 0;        ///< actual steps taken (may stop early on breakdown)
+  /// Steps whose new basis vector was reorthogonalized against the stored
+  /// basis (partial reorthogonalization; see lanczos()).
+  int n_reorthogonalized = 0;
   bool breakdown = false;
 };
 
 /// Controls for the Lanczos iteration.
 struct LanczosOptions {
   int steps = 100;
-  /// Full reorthogonalization keeps the basis numerically orthogonal; the
-  /// cost is O(k^2 n) but k is small (~100) for spectra.
-  bool full_reorthogonalization = true;
   double breakdown_tolerance = 1e-12;
 };
 
 /// Run the symmetric Lanczos process on `op` (dimension n) starting from
 /// `start`. Throws InvalidArgument on a zero start vector.
+///
+/// Orthogonality is kept by Simon's partial reorthogonalization: an O(k)
+/// recurrence estimates |q_{j+1} . q_i| for every stored basis vector, and
+/// only a step whose largest estimate exceeds sqrt(eps), and the step
+/// after it, sweeps the new vector against the whole basis (two classical
+/// Gram-Schmidt passes). The basis stays semi-orthogonal, which keeps T_k
+/// (and so the Gauss rules) accurate to working precision (Simon 1984)
+/// while most steps cost O(n) instead of O(kn).
+///
+/// With an ambient obs session, adds the step count and the
+/// reorthogonalized-step count to the counters `spectra.lanczos.steps`
+/// and `spectra.lanczos.reorthogonalized`.
 LanczosResult lanczos(const MatVec& op, std::span<const double> start,
                       std::size_t n, const LanczosOptions& options);
 

@@ -118,6 +118,35 @@ TEST(EighTridiagonal, MatchesDenseSolver) {
   EXPECT_LT(residual(dense, rt), 1e-10);
 }
 
+// The first-row solver carries e_0^T through the same QL rotations that
+// eigh_tridiagonal applies to the identity, so its values and components
+// must be bitwise those of the full solver.
+void expect_first_row_bitwise(std::span<const double> diag,
+                              std::span<const double> sub) {
+  const EigResult full = eigh_tridiagonal(diag, sub);
+  const EigResult first = eigh_tridiagonal_first_row(diag, sub);
+  ASSERT_EQ(first.values.size(), diag.size());
+  ASSERT_EQ(first.vectors.rows(), 1u);
+  ASSERT_EQ(first.vectors.cols(), diag.size());
+  for (std::size_t j = 0; j < diag.size(); ++j) {
+    EXPECT_EQ(first.values[j], full.values[j]) << "value " << j;
+    EXPECT_EQ(first.vectors(0, j), full.vectors(0, j)) << "component " << j;
+  }
+}
+
+TEST(EighTridiagonal, FirstRowIsBitwiseRowZeroOfFullSolver) {
+  Rng rng(41);
+  for (const std::size_t n : {1u, 2u, 40u}) {
+    Vector diag(n), sub(n - 1);
+    for (auto& d : diag) d = rng.uniform(-2.0, 2.0);
+    for (auto& s : sub) s = rng.uniform(-1.0, 1.0);
+    SCOPED_TRACE(n);
+    expect_first_row_bitwise(diag, sub);
+  }
+  const EigResult empty = eigh_tridiagonal_first_row({}, {});
+  EXPECT_TRUE(empty.values.empty());
+}
+
 TEST(Cholesky, ReconstructsMatrix) {
   Rng rng(41);
   const Matrix a = random_spd(12, rng);

@@ -3,11 +3,16 @@
 #include <cmath>
 #include <limits>
 
+#include "qfr/chem/protein.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/common/rng.hpp"
 #include "qfr/common/units.hpp"
+#include "qfr/engine/model_engine.hpp"
+#include "qfr/frag/assembly.hpp"
+#include "qfr/frag/fragmentation.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/la/eig.hpp"
+#include "qfr/obs/session.hpp"
 #include "qfr/spectra/lanczos.hpp"
 #include "qfr/spectra/raman.hpp"
 
@@ -167,6 +172,198 @@ TEST(Lanczos, BreakdownOnInvariantSubspaceGivesExactMeasure) {
   ASSERT_EQ(m.nodes.size(), 1u);
   EXPECT_NEAR(m.nodes[0], 2.0, 1e-12);
   EXPECT_NEAR(m.weights[0], 1.0, 1e-12);
+}
+
+// The full-reorthogonalization Lanczos loop the library ran before it
+// switched to partial reorthogonalization: two classical Gram-Schmidt
+// passes against the whole basis at every step. Kept as the reference.
+LanczosResult lanczos_full_gram_schmidt(const MatVec& op,
+                                        std::span<const double> start,
+                                        int steps) {
+  const std::size_t n = start.size();
+  LanczosResult res;
+  res.start_norm = la::nrm2(start);
+  const int k = std::min<std::size_t>(steps, n);
+  std::vector<la::Vector> basis;
+  la::Vector q(start.begin(), start.end());
+  la::scal(1.0 / res.start_norm, q);
+  basis.push_back(q);
+  la::Vector w(n, 0.0);
+  double beta_prev = 0.0;
+  for (int j = 0; j < k; ++j) {
+    op(basis.back(), w);
+    if (j > 0) la::axpy(-beta_prev, basis[j - 1], w);
+    const double alpha = la::dot(basis.back(), w);
+    la::axpy(-alpha, basis.back(), w);
+    res.alpha.push_back(alpha);
+    res.steps = j + 1;
+    for (int pass = 0; pass < 2; ++pass)
+      for (const auto& v : basis) la::axpy(-la::dot(v, w), v, w);
+    const double beta = la::nrm2(w);
+    if (j + 1 == k) {
+      res.final_beta = beta;
+      break;
+    }
+    if (beta < 1e-12) {
+      res.breakdown = true;
+      break;
+    }
+    res.beta.push_back(beta);
+    beta_prev = beta;
+    la::Vector next = w;
+    la::scal(1.0 / beta, next);
+    basis.push_back(std::move(next));
+  }
+  return res;
+}
+
+// Mass-weighted Hessian and dalpha of an 8-residue model-engine peptide
+// (3N = 426), assembled from its MFCC fragments.
+frag::GlobalProperties model_peptide_properties() {
+  frag::BioSystem sys;
+  chem::ProteinBuildOptions popts;
+  popts.n_residues = 8;
+  popts.seed = 7;
+  sys.chains.push_back(chem::build_synthetic_protein(popts));
+  const frag::Fragmentation fr = frag::fragment_biosystem(sys);
+  const engine::ModelEngine eng;
+  std::vector<engine::FragmentResult> results;
+  for (const frag::Fragment& f : fr.fragments)
+    results.push_back(eng.compute_with_topology(f.mol, f.bonds));
+  return frag::assemble_global_properties(sys, fr.fragments, results);
+}
+
+// ||a - ref|| / ||ref|| in the 2-norm.
+double relative_l2(const la::Vector& a, const la::Vector& ref) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    num += (a[i] - ref[i]) * (a[i] - ref[i]);
+    den += ref[i] * ref[i];
+  }
+  return std::sqrt(num / den);
+}
+
+la::Vector couplings(const LanczosResult& lr) {
+  la::Vector b = lr.beta;
+  b.push_back(lr.final_beta);
+  return b;
+}
+
+// Partial reorthogonalization must give the coefficients and spectra of
+// the full-reorthogonalization loop to round-off, while sweeping the
+// basis on fewer than half the steps. The coefficients are compared in
+// norm, not entry by entry: at 220 steps on this 426-dimensional Hessian
+// single entries are ill-conditioned (nudging one entry of the start
+// vector by 1e-15 moves single alpha entries of the full-reorthogonalized
+// run itself by up to ~1e-9, and the whole vector by up to ~1e-10).
+TEST(Lanczos, PartialReorthogonalizationMatchesFullGramSchmidt) {
+  const frag::GlobalProperties props = model_peptide_properties();
+  const la::CsrMatrix& h = props.hessian_mw;
+  const std::size_t n = h.rows();
+  ASSERT_EQ(n, 426u);
+  const MatVec op = [&h](std::span<const double> x, std::span<double> y) {
+    h.matvec(1.0, x, 0.0, y);
+  };
+  // The seven Raman start vectors, the trace combination and the six
+  // tensor rows, with their Eq. (4) weights.
+  std::vector<la::Vector> starts(1, la::Vector(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i)
+    starts[0][i] = props.dalpha_mw(0, i) + props.dalpha_mw(1, i) +
+                   props.dalpha_mw(2, i);
+  for (int c = 0; c < kAlphaComponents; ++c) {
+    const auto row = props.dalpha_mw.row(c);
+    starts.emplace_back(row.begin(), row.end());
+  }
+  const double weights[] = {1.5, 10.5, 10.5, 10.5, 21.0, 21.0, 21.0};
+  const la::Vector axis = wavenumber_axis(0.0, 4000.0, 1200);
+
+  for (const int steps : {150, 220}) {
+    LanczosOptions opts;
+    opts.steps = steps;
+    std::vector<LanczosResult> reference;
+    for (std::size_t c = 0; c < starts.size(); ++c) {
+      reference.push_back(lanczos_full_gram_schmidt(op, starts[c], steps));
+      const LanczosResult& ref = reference.back();
+      const LanczosResult got = lanczos(op, starts[c], n, opts);
+      ASSERT_EQ(got.steps, ref.steps);
+      ASSERT_EQ(got.beta.size(), ref.beta.size());
+      EXPECT_LT(relative_l2(got.alpha, ref.alpha), 1e-10)
+          << steps << " steps, component " << c;
+      EXPECT_LT(relative_l2(couplings(got), couplings(ref)), 1e-10)
+          << steps << " steps, component " << c;
+      EXPECT_GT(got.n_reorthogonalized, 0);
+      EXPECT_LT(2 * got.n_reorthogonalized, got.steps)
+          << steps << " steps, component " << c;
+    }
+    for (const double sigma : {5.0, 25.0}) {
+      la::Vector expected(axis.size(), 0.0);
+      for (std::size_t c = 0; c < starts.size(); ++c)
+        la::axpy(weights[c],
+                 broaden_to_wavenumbers(
+                     averaged_gauss_quadrature(reference[c]), axis, sigma),
+                 expected);
+      const RamanSpectrum got = raman_spectrum_lanczos(
+          op, n, props.dalpha_mw, axis, sigma, opts, /*use_gagq=*/true);
+      EXPECT_LT(relative_l2(got.intensity, expected), 1e-8)
+          << steps << " steps, sigma " << sigma;
+    }
+  }
+}
+
+TEST(Lanczos, GagqFirstComponentQuadratureIsBitwiseTheFullEigensolve) {
+  // The 299-point averaged matrix of a 150-step run, built as
+  // averaged_gauss_quadrature documents it.
+  Rng rng(137);
+  const std::size_t n = 400;
+  const la::Matrix a = random_symmetric(n, rng);
+  la::Vector d(n);
+  for (auto& v : d) v = rng.uniform(-1.0, 1.0);
+  LanczosOptions opts;
+  opts.steps = 150;
+  const LanczosResult lr = lanczos(dense_op(a), d, n, opts);
+  ASSERT_EQ(lr.steps, 150);
+  const std::size_t l = 149;
+  la::Vector diag(lr.alpha), sub(lr.beta);
+  for (std::size_t i = 0; i < l; ++i) diag.push_back(lr.alpha[l - 1 - i]);
+  sub.push_back(lr.final_beta);
+  for (std::size_t i = 1; i < l; ++i) sub.push_back(lr.beta[l - 1 - i]);
+  ASSERT_EQ(diag.size(), 299u);
+
+  const la::EigResult full = la::eigh_tridiagonal(diag, sub);
+  const la::EigResult first = la::eigh_tridiagonal_first_row(diag, sub);
+  const SpectralMeasure m = averaged_gauss_quadrature(lr);
+  ASSERT_EQ(m.nodes.size(), 299u);
+  const double scale = lr.start_norm * lr.start_norm;
+  for (std::size_t j = 0; j < 299; ++j) {
+    EXPECT_EQ(first.values[j], full.values[j]);
+    EXPECT_EQ(first.vectors(0, j), full.vectors(0, j));
+    EXPECT_EQ(m.nodes[j], full.values[j]);
+    const double c = full.vectors(0, j);
+    EXPECT_EQ(m.weights[j], scale * c * c);
+  }
+}
+
+TEST(Lanczos, AmbientSessionCountsStepsAndReorthogonalizations) {
+  Rng rng(131);
+  const std::size_t n = 120;
+  const la::Matrix a = random_symmetric(n, rng);
+  la::Vector d(n);
+  for (auto& v : d) v = rng.uniform(-1.0, 1.0);
+  LanczosOptions opts;
+  opts.steps = 60;
+  obs::Session session;
+  LanczosResult first, second;
+  {
+    obs::ScopedSession ambient(&session);
+    first = lanczos(dense_op(a), d, n, opts);
+    second = lanczos(dense_op(a), d, n, opts);
+  }
+  lanczos(dense_op(a), d, n, opts);  // no session: not counted
+  const obs::MetricsRegistry& m = session.metrics();
+  EXPECT_EQ(m.counter_value("spectra.lanczos.steps"), 120);
+  EXPECT_EQ(m.counter_value("spectra.lanczos.reorthogonalized"),
+            first.n_reorthogonalized + second.n_reorthogonalized);
+  EXPECT_GT(first.n_reorthogonalized, 0);
 }
 
 TEST(Broadening, AreaEqualsTotalWeight) {

@@ -140,6 +140,37 @@ TEST(Workflow, GagqBeatsPlainLanczosAtFewSteps) {
   EXPECT_LT(err_gagq, err_plain * 1.02);
 }
 
+TEST(Workflow, RunReportCountsLanczosStepsAndReorthogonalizations) {
+  const std::string report_path = "/tmp/qfr_workflow_lanczos_report.json";
+  WorkflowOptions opts;
+  opts.solver = SolverKind::kLanczosGagq;
+  opts.lanczos_steps = 60;
+  opts.sigma_cm = 25.0;
+  opts.report_path = report_path;
+  const WorkflowResult res = RamanWorkflow(opts).run(protein_system(8, 7));
+  ASSERT_TRUE(res.used_lanczos);
+
+  std::ifstream rf(report_path);
+  ASSERT_TRUE(rf.good()) << report_path;
+  std::stringstream rbuf;
+  rbuf << rf.rdbuf();
+  const auto report = obs::Json::parse(rbuf.str());
+  ASSERT_TRUE(report.has_value());
+  const obs::Json* counters = report->find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr);
+  const obs::Json* steps = counters->find("spectra.lanczos.steps");
+  const obs::Json* reorth = counters->find("spectra.lanczos.reorthogonalized");
+  ASSERT_NE(steps, nullptr);
+  ASSERT_NE(reorth, nullptr);
+  // Seven Raman recurrences (trace + six tensor rows) of 60 steps each on
+  // a 426-dimensional Hessian: no breakdown, every step counted.
+  EXPECT_EQ(steps->as_double(), 7.0 * 60.0);
+  EXPECT_GT(reorth->as_double(), 0.0);
+  EXPECT_LT(reorth->as_double(), 0.5 * steps->as_double());
+  std::remove(report_path.c_str());
+  std::remove((report_path + ".outcomes.csv").c_str());
+}
+
 TEST(Workflow, AutoSolverSwitchesOnSize) {
   // Small: exact; large: Lanczos.
   WorkflowOptions opts;
