@@ -231,17 +231,25 @@ qfr::basis::BasisSet water_basis(qfr::scf::BasisKind kind) {
                                              : qfr::basis::BasisSet::sto3g(w);
 }
 
-struct WaterRhf {
+struct WaterScf {
   std::shared_ptr<qfr::scf::ScfContext> ctx;
   qfr::scf::ScfResult state;
 };
 
-WaterRhf water_rhf() {
-  WaterRhf out;
+WaterScf water_scf(qfr::scf::XcModel xc = qfr::scf::XcModel::kHartreeFock) {
+  WaterScf out;
   out.ctx = std::make_shared<qfr::scf::ScfContext>(
       qfr::scf::ScfContext::build(qfr::chem::make_water({0, 0, 0})));
-  out.state = qfr::scf::ScfSolver(out.ctx).solve();
+  qfr::scf::ScfOptions opts;
+  opts.xc = xc;
+  out.state = qfr::scf::ScfSolver(out.ctx, opts).solve();
   return out;
+}
+
+// The LDA gradient on the grid of a default-option LDA solve.
+qfr::la::Vector water_lda_gradient(const WaterScf& w) {
+  return qfr::ints::lda_gradient(
+      *w.ctx, w.state, qfr::scf::ScfOptions{}.grid_radial_points);
 }
 
 void BM_EriTensor(benchmark::State& state) {
@@ -257,13 +265,22 @@ void BM_EriTensor(benchmark::State& state) {
 BENCHMARK(BM_EriTensor)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RhfGradient(benchmark::State& state) {
-  const WaterRhf w = water_rhf();
+  const WaterScf w = water_scf();
   for (auto _ : state) {
     const auto g = qfr::ints::rhf_gradient(*w.ctx, w.state);
     benchmark::DoNotOptimize(g.data());
   }
 }
 BENCHMARK(BM_RhfGradient)->Unit(benchmark::kMillisecond);
+
+void BM_LdaGradient(benchmark::State& state) {
+  const WaterScf w = water_scf(qfr::scf::XcModel::kLda);
+  for (auto _ : state) {
+    const auto g = water_lda_gradient(w);
+    benchmark::DoNotOptimize(g.data());
+  }
+}
+BENCHMARK(BM_LdaGradient)->Unit(benchmark::kMillisecond);
 
 // ---- deterministic --json mode ------------------------------------------
 
@@ -373,7 +390,8 @@ int run_json_mode(const std::string& path) {
   {
     const auto sto3g = water_basis(qfr::scf::BasisKind::kSto3g);
     const auto b631g = water_basis(qfr::scf::BasisKind::kB631g);
-    const WaterRhf w = water_rhf();
+    const WaterScf w = water_scf();
+    const WaterScf w_lda = water_scf(qfr::scf::XcModel::kLda);
     const double t_sto3g = time_per_call(
         [&] { benchmark::DoNotOptimize(qfr::ints::EriTensor(sto3g)(0, 0, 0, 0)); });
     const double t_631g = time_per_call(
@@ -382,10 +400,14 @@ int run_json_mode(const std::string& path) {
       benchmark::DoNotOptimize(
           qfr::ints::rhf_gradient(*w.ctx, w.state).data());
     });
+    const double t_lda_grad = time_per_call(
+        [&] { benchmark::DoNotOptimize(water_lda_gradient(w_lda).data()); });
     report.samples.push_back({"eri.water_sto3g.ms", t_sto3g * 1e3, "ms"});
     report.samples.push_back({"eri.water_631g.ms", t_631g * 1e3, "ms"});
     report.samples.push_back(
         {"rhf_gradient.water_sto3g.ms", t_grad * 1e3, "ms"});
+    report.samples.push_back(
+        {"lda_gradient.water_sto3g.ms", t_lda_grad * 1e3, "ms"});
   }
 
   std::ofstream os(path);

@@ -22,7 +22,8 @@
 #   zombie scan — no leader process may outlive its master.
 # Stage 4 (bench smoke): instrumented bench runs emitting their
 #   qfr.bench.v1 JSON trajectory points (BENCH_fig09.json — including the
-#   measured real-vs-modeled executor replay — BENCH_kernels.json,
+#   measured real-vs-modeled executor replay — BENCH_kernels.json with
+#   both analytic-gradient timings (HF and LDA),
 #   BENCH_cache.json, BENCH_transport.json) — catches bench-binary and
 #   exporter rot without timing anything.
 # Stage 4b (serve smoke): the serve_burst replay drives a live
@@ -96,9 +97,18 @@ assert avg >= 2.0, f'measured batch speedup {avg:.2f}x below the 2x bar'
 print(f"BENCH_fig09.json ok (measured avg {avg:.1f}x)")
 EOF
 build/bench/micro_kernels --json build/BENCH_kernels.json >/dev/null
-python3 -c "import json; json.load(open('build/BENCH_kernels.json'))" \
-  2>/dev/null || { echo "BENCH_kernels.json is not valid JSON"; exit 1; }
-echo "BENCH_kernels.json ok"
+python3 - <<'EOF' || { echo "BENCH_kernels.json check failed"; exit 1; }
+import json, math
+d = json.load(open('build/BENCH_kernels.json'))
+s = {x['label']: x['value'] for x in d['samples']}
+# Both analytic gradients, HF and LDA, must be timed.
+for key in ('rhf_gradient.water_sto3g.ms', 'lda_gradient.water_sto3g.ms'):
+    assert key in s, f'missing {key}'
+    assert math.isfinite(s[key]) and s[key] > 0, f'{key} = {s[key]}'
+print(f"BENCH_kernels.json ok (rhf_gradient "
+      f"{s['rhf_gradient.water_sto3g.ms']:.2f} ms, lda_gradient "
+      f"{s['lda_gradient.water_sto3g.ms']:.2f} ms)")
+EOF
 build/bench/cache_dedup --json build/BENCH_cache.json >/dev/null
 python3 -c "import json; json.load(open('build/BENCH_cache.json'))" \
   2>/dev/null || { echo "BENCH_cache.json is not valid JSON"; exit 1; }

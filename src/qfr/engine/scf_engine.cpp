@@ -69,7 +69,11 @@ PointResult evaluate_point(const Molecule& mol, const ScfEngineOptions& opts,
   PointResult out;
   out.energy = scf_res.energy;
   out.dipole = scf::dipole_moment(*ctx, scf_res.density);
-  if (with_gradient) out.gradient = ints::rhf_gradient(*ctx, scf_res);
+  if (with_gradient)
+    out.gradient =
+        opts.xc == scf::XcModel::kLda
+            ? ints::lda_gradient(*ctx, scf_res, sopts.grid_radial_points)
+            : ints::rhf_gradient(*ctx, scf_res);
   if (with_alpha) {
     dfpt::DfptOptions dopts;
     dopts.tolerance = 1e-10;
@@ -88,6 +92,14 @@ PointResult evaluate_point(const Molecule& mol, const ScfEngineOptions& opts,
 
 }  // namespace
 
+std::string ScfEngine::name() const {
+  std::string out =
+      options_.xc == scf::XcModel::kLda ? "scf_lda" : "scf_hf";
+  out += options_.hessian_mode == HessianMode::kGradientFd ? "+gradient_fd"
+                                                           : "+energy_fd";
+  return out;
+}
+
 FragmentResult ScfEngine::compute(const Molecule& fragment) const {
   QFR_REQUIRE(!fragment.empty(), "empty fragment");
   const std::size_t n = fragment.size();
@@ -95,9 +107,6 @@ FragmentResult ScfEngine::compute(const Molecule& fragment) const {
   const double h = options_.displacement;
   const bool gradient_mode =
       options_.hessian_mode == HessianMode::kGradientFd;
-  QFR_REQUIRE(!gradient_mode || options_.xc == scf::XcModel::kHartreeFock,
-              "analytic gradients are implemented for Hartree-Fock; use "
-              "HessianMode::kEnergyFd with the LDA model");
 
   FragmentResult res;
   res.hessian.resize_zero(dim, dim);

@@ -8,10 +8,12 @@ namespace qfr::engine {
 /// How the nuclear Hessian is obtained.
 enum class HessianMode {
   /// Central second differences of the energy: O((3N)^2) SCF solves.
-  /// Works for every XC model; the fallback reference.
+  /// Needs only converged energies; the fallback level and the test
+  /// oracle of the gradient path.
   kEnergyFd,
-  /// Central first differences of the analytic RHF gradient: O(3N)
-  /// gradient evaluations — the production path (Hartree-Fock only).
+  /// Central first differences of the analytic gradient
+  /// (ints::rhf_gradient or ints::lda_gradient, matching the XC model):
+  /// O(3N) gradient evaluations — the production path.
   kGradientFd,
 };
 
@@ -36,8 +38,11 @@ struct ScfEngineOptions {
 /// This mirrors the paper's worker loop: the leader generates a set of
 /// atomic displacements for a fragment, each displaced geometry gets a
 /// full SCF + DFPT treatment, and finite differences assemble
-///   - the Hessian from displaced energies (central second differences),
-///   - d alpha / d r from displaced DFPT polarizabilities.
+///   - the Hessian from the analytic gradients at the 2 * 3N single
+///     displacements (kGradientFd), or from displaced energies, singles
+///     plus four double displacements per coordinate pair (kEnergyFd),
+///   - d alpha / d r and d mu / d r from the single displacements' DFPT
+///     polarizabilities and dipoles, the same in both modes.
 /// SCF at each displaced geometry warm-starts from the equilibrium density.
 /// The displaced-geometry jobs run on ThreadPool::current() — the pool of
 /// the leader computing the fragment, the third tier of the paper's
@@ -47,7 +52,10 @@ class ScfEngine : public FragmentEngine {
   explicit ScfEngine(ScfEngineOptions options = {}) : options_(options) {}
 
   FragmentResult compute(const chem::Molecule& fragment) const override;
-  std::string name() const override { return "scf"; }
+  /// "scf_hf" or "scf_lda", then "+gradient_fd" or "+energy_fd": result
+  /// caches key on the name, so it names both the XC model and the
+  /// Hessian mode.
+  std::string name() const override;
 
   const ScfEngineOptions& options() const { return options_; }
 

@@ -1,6 +1,7 @@
 #include "qfr/grid/molgrid.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
@@ -22,10 +23,19 @@ double radial_scale(chem::Element e) {
   return 1.0;
 }
 
+// Becke's smoothing polynomial and its derivative.
+double becke_poly(double x) { return 1.5 * x - 0.5 * x * x * x; }
+double becke_poly_derivative(double x) { return 1.5 - 1.5 * x * x; }
+
 // Becke's smoothing polynomial applied three times.
-double becke_step(double mu) {
-  auto f = [](double x) { return 1.5 * x - 0.5 * x * x * x; };
-  return f(f(f(mu)));
+double becke_step(double mu) { return becke_poly(becke_poly(becke_poly(mu))); }
+
+// d becke_step / d mu by the chain rule through the three applications.
+double becke_step_derivative(double mu) {
+  const double f1 = becke_poly(mu);
+  const double f2 = becke_poly(f1);
+  return becke_poly_derivative(f2) * becke_poly_derivative(f1) *
+         becke_poly_derivative(mu);
 }
 
 }  // namespace
@@ -177,6 +187,102 @@ MolGrid::MolGrid(const chem::Molecule& mol, int n_radial, int n_theta)
       }
       gp.becke = (den > 0.0) ? num / den : 0.0;
       gp.weight *= gp.becke;
+    }
+  }
+}
+
+void MolGrid::accumulate_weight_gradient(std::span<const double> f,
+                                         std::span<double> grad) const {
+  QFR_REQUIRE(f.size() == points_.size(),
+              "weight gradient needs one value per point, got "
+                  << f.size() << " for " << points_.size() << " points");
+  QFR_REQUIRE(grad.size() == 3 * n_atoms_,
+              "weight gradient needs 3 entries per atom, got " << grad.size());
+  const std::size_t n = n_atoms_;
+  if (n < 2) return;
+
+  // Per-point scratch: distances and unit vectors from every atom, the
+  // cell factors s(mu_ab) and their derivatives ds/dmu, the cell
+  // functions P_a = prod_b s(mu_ab).
+  std::vector<double> dist(n), s(n * n), ds(n * n), cell(n);
+  std::vector<geom::Vec3> unit(n);
+  // Inter-atomic distances R_ab and unit vectors e_ab = (R_a - R_b)/R_ab.
+  std::vector<double> rab(n * n, 0.0);
+  std::vector<geom::Vec3> eab(n * n);
+  for (std::size_t a = 0; a < n; ++a)
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      const geom::Vec3 d = centers_[a] - centers_[b];
+      rab[a * n + b] = d.norm();
+      eab[a * n + b] = d / rab[a * n + b];
+    }
+  // P_a without its factor s(mu_ab).
+  auto cell_without = [&](std::size_t a, std::size_t b) {
+    double prod = 1.0;
+    for (std::size_t c = 0; c < n; ++c)
+      if (c != a && c != b) prod *= s[a * n + c];
+    return prod;
+  };
+  // Explicit partials of mu_ab = (|r - R_a| - |r - R_b|) / R_ab at fixed r.
+  auto dmu_da = [&](std::size_t a, std::size_t b) {
+    const double mu = (dist[a] - dist[b]) / rab[a * n + b];
+    return (unit[a] + eab[a * n + b] * mu) * (-1.0 / rab[a * n + b]);
+  };
+  auto dmu_db = [&](std::size_t a, std::size_t b) {
+    const double mu = (dist[a] - dist[b]) / rab[a * n + b];
+    return (unit[b] + eab[a * n + b] * mu) / rab[a * n + b];
+  };
+
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    const GridPoint& gp = points_[i];
+    const double scale = gp.w_radial * gp.w_angular * f[i];
+    if (scale == 0.0) continue;
+    for (std::size_t a = 0; a < n; ++a) {
+      const geom::Vec3 d = gp.r - centers_[a];
+      dist[a] = d.norm();
+      unit[a] = dist[a] > 0.0 ? d / dist[a] : geom::Vec3{};
+    }
+    double den = 0.0;
+    for (std::size_t a = 0; a < n; ++a) {
+      cell[a] = 1.0;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b) continue;
+        const double mu = (dist[a] - dist[b]) / rab[a * n + b];
+        s[a * n + b] = 0.5 * (1.0 - becke_step(mu));
+        ds[a * n + b] = -0.5 * becke_step_derivative(mu);
+        cell[a] *= s[a * n + b];
+      }
+      den += cell[a];
+    }
+    if (den <= 0.0) continue;
+
+    // The point's factor is Z = P_g / sum_b P_b for its owner g. For every
+    // other atom A the point stays put, so dZ/dR_A is the explicit
+    // partial; the owner takes minus their sum (translational invariance).
+    const std::size_t g = gp.atom;
+    for (std::size_t atom = 0; atom < n; ++atom) {
+      if (atom == g) continue;
+      geom::Vec3 d_cell_g, d_den;
+      for (std::size_t b = 0; b < n; ++b) {
+        geom::Vec3 d_cell;
+        if (b == atom) {
+          for (std::size_t c = 0; c < n; ++c)
+            if (c != atom)
+              d_cell += dmu_da(atom, c) *
+                        (cell_without(atom, c) * ds[atom * n + c]);
+        } else {
+          d_cell = dmu_db(b, atom) *
+                   (cell_without(b, atom) * ds[b * n + atom]);
+        }
+        d_den += d_cell;
+        if (b == g) d_cell_g = d_cell;
+      }
+      const geom::Vec3 dz =
+          (d_cell_g * den - d_den * cell[g]) * (scale / (den * den));
+      for (int c = 0; c < 3; ++c) {
+        grad[3 * atom + c] += dz[c];
+        grad[3 * g + c] -= dz[c];
+      }
     }
   }
 }

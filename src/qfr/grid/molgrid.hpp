@@ -78,6 +78,16 @@ class MolGrid {
     return acc;
   }
 
+  /// Adds sum_p f_p dw_p/dR_A to `grad` (3 n_atoms, atom-major): the
+  /// derivative of the grid integral sum_p w_p f_p through the Becke
+  /// partition factors (Johnson, Gill & Pople, J. Chem. Phys. 98, 5612
+  /// (1993)), with every point moving rigidly with its owning atom. The
+  /// radial and angular weights do not depend on the geometry. The owner's
+  /// derivative is minus the sum of the others', so the result obeys the
+  /// translational sum rule exactly.
+  void accumulate_weight_gradient(std::span<const double> f,
+                                  std::span<double> grad) const;
+
  private:
   std::vector<GridPoint> points_;
   std::vector<geom::Vec3> centers_;

@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
+#include "qfr/grid/molgrid.hpp"
+#include "qfr/grid/orbital_eval.hpp"
 #include "qfr/integrals/hermite.hpp"
 #include "qfr/integrals/shell_pair.hpp"
 #include "qfr/la/blas.hpp"
+#include "qfr/xc/lda.hpp"
 
 namespace qfr::ints {
 
@@ -260,10 +264,13 @@ void eri_bra_derivative(const Shell& a, const Shell& b,
   }
 }
 
-}  // namespace
-
-la::Vector rhf_gradient(const scf::ScfContext& ctx,
-                        const scf::ScfResult& scf_state) {
+// Every term of the closed-shell SCF gradient but exchange-correlation:
+// nuclear repulsion, one-electron, -W.dS and the two-electron term with
+//   Gamma_eff = 2 P_mn P_ls - exchange (P_ml P_ns + P_nl P_ms),
+// exchange = 1/2 for Hartree-Fock and 0 for a pure density functional.
+la::Vector mean_field_gradient(const scf::ScfContext& ctx,
+                               const scf::ScfResult& scf_state,
+                               double exchange) {
   QFR_REQUIRE(scf_state.converged, "gradient requires a converged SCF state");
   const auto& bs = ctx.bs;
   const auto& mol = ctx.mol;
@@ -318,17 +325,17 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
     }
   }
 
-  // Two-electron term: loop ALL shell quartets; only the first index's
-  // center derivative is computed, with the effective two-particle density
-  //   Gamma_eff = 2 P_mn P_ls - 1/2 (P_ml P_ns + P_nl P_ms)
-  // absorbing the other three positions (see the relabeling argument in
-  // gradients.hpp's unit tests).
+  // Two-electron term: only the first index's center derivative is
+  // computed, with the effective two-particle density Gamma_eff absorbing
+  // the other three positions (relabeling mn <-> nm and (mn) <-> (ls)).
+  // Gamma_eff and d(ab|cd)/dA are both symmetric under c <-> d, so the
+  // loop visits ket shell pairs sd <= sc and weights sd < sc by 2.
   const std::size_t ns = bs.n_shells();
 
   // Hermite term lists, built once per shell pair and reused by the
-  // Schwarz pass and all ns^4 derivative quartets: the raised/lowered bra
-  // lists of every ordered pair (a, b) and the ket list of every ordered
-  // pair (c, d).
+  // Schwarz pass and every derivative quartet: the raised/lowered bra
+  // lists of every ordered pair (a, b) and the ket list of every pair
+  // (c, d) with d <= c.
   using detail::PairSide;
   std::vector<BraDerivativeTerms> bra_deriv(ns * ns);
   std::vector<detail::ShellPairTerms> ket(ns * ns);
@@ -341,7 +348,8 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
       if (a.l > 0)
         bd.down =
             detail::make_pair_terms(lowered_shell(a), b, PairSide::kBra);
-      ket[sa * ns + sb] = detail::make_pair_terms(a, b, PairSide::kKet);
+      if (sb <= sa)
+        ket[sa * ns + sb] = detail::make_pair_terms(a, b, PairSide::kKet);
     }
 
   // Schwarz bounds for screening the quartic loop (the derivative
@@ -370,9 +378,10 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
       const Shell& b = bs.shell(sb);
       for (std::size_t sc = 0; sc < ns; ++sc) {
         const Shell& c = bs.shell(sc);
-        for (std::size_t sd = 0; sd < ns; ++sd) {
+        for (std::size_t sd = 0; sd <= sc; ++sd) {
           const Shell& d = bs.shell(sd);
           if (schwarz(sa, sb) * schwarz(sc, sd) < kScreen) continue;
+          const double ket_weight = sd < sc ? 2.0 : 1.0;
           eri_bra_derivative(a, b, bra_deriv[sa * ns + sb],
                              ket[sc * ns + sd], scratch);
           const auto& deriv = scratch.out;
@@ -386,9 +395,10 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
                   const std::size_t la_ = c.first_bf + fc;
                   const std::size_t si = d.first_bf + fd;
                   const double gamma =
-                      2.0 * p(mu, nu) * p(la_, si) -
-                      0.5 * (p(mu, la_) * p(nu, si) +
-                             p(nu, la_) * p(mu, si));
+                      ket_weight *
+                      (2.0 * p(mu, nu) * p(la_, si) -
+                       exchange * (p(mu, la_) * p(nu, si) +
+                                   p(nu, la_) * p(mu, si)));
                   if (gamma == 0.0) continue;
                   for (int comp = 0; comp < 3; ++comp)
                     grad[3 * a.atom + comp] += gamma * deriv[comp][idx];
@@ -397,6 +407,63 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
       }
     }
   }
+  return grad;
+}
+
+// Exchange-correlation part of the LDA gradient, added to `grad`: the
+// basis-function, point-moving and partition-weight derivatives of
+// E_xc = sum_p w_p e_xc(rho_p) on the solver's grid.
+void accumulate_xc_gradient(const scf::ScfContext& ctx, const Matrix& p,
+                            int grid_radial_points, std::span<double> grad) {
+  const grid::MolGrid grid(ctx.mol, grid_radial_points);
+  const auto pts = grid.points();
+  const grid::BasisBatch batch =
+      grid::evaluate_basis(ctx.bs, pts, /*with_gradient=*/true);
+  // rho, e_xc and v_xc exactly as the solver computes them.
+  const la::Vector rho = grid::density_on_batch(batch, p);
+  la::Vector e_pt(rho.size()), v_pt(rho.size());
+  xc::lda_exchange_batch(rho, e_pt, v_pt, {});
+
+  // chi_p(p, mu) = sum_nu P_mn chi_nu(r_p), so that
+  //   grad rho_p = 2 sum_mu grad chi_mu(r_p) chi_p(p, mu).
+  const std::size_t nbf = ctx.bs.n_functions();
+  Matrix chi_p(pts.size(), nbf);
+  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, batch.chi, p, 0.0, chi_p);
+
+  // d chi_mu/dR_A = -grad chi_mu for mu on A, and a point on atom g moves
+  // with g. So the term t = 2 w_p v_p grad chi_mu chi_p(p, mu) of basis
+  // function mu on atom A enters atom A with -t and the point's owner with
+  // +t: the two cancel when mu sits on the owner itself.
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const double wv = 2.0 * pts[i].weight * v_pt[i];
+    if (wv == 0.0) continue;
+    const std::size_t owner = pts[i].atom;
+    for (std::size_t mu = 0; mu < nbf; ++mu) {
+      const std::size_t atom = ctx.bs.function_atom(mu);
+      if (atom == owner) continue;
+      const double x = wv * chi_p(i, mu);
+      for (int c = 0; c < 3; ++c) {
+        const double t = x * batch.grad[c](i, mu);
+        grad[3 * atom + c] -= t;
+        grad[3 * owner + c] += t;
+      }
+    }
+  }
+  grid.accumulate_weight_gradient(e_pt, grad);
+}
+
+}  // namespace
+
+la::Vector rhf_gradient(const scf::ScfContext& ctx,
+                        const scf::ScfResult& scf_state) {
+  return mean_field_gradient(ctx, scf_state, /*exchange=*/0.5);
+}
+
+la::Vector lda_gradient(const scf::ScfContext& ctx,
+                        const scf::ScfResult& scf_state,
+                        int grid_radial_points) {
+  la::Vector grad = mean_field_gradient(ctx, scf_state, /*exchange=*/0.0);
+  accumulate_xc_gradient(ctx, scf_state.density, grid_radial_points, grad);
   return grad;
 }
 

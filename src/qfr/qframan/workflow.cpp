@@ -15,40 +15,35 @@
 
 namespace qfr::qframan {
 
+namespace {
+
+// The SCF engine options of an ab initio kind: HF and LDA differ only in
+// the XC model; both default to the analytic-gradient Hessian.
+engine::ScfEngineOptions scf_options(EngineKind kind, bool batched_gemm) {
+  engine::ScfEngineOptions opts;
+  opts.xc = kind == EngineKind::kScfLda ? scf::XcModel::kLda
+                                        : scf::XcModel::kHartreeFock;
+  opts.batched_gemm = batched_gemm;
+  return opts;
+}
+
+}  // namespace
+
 std::unique_ptr<engine::FragmentEngine> make_engine(EngineKind kind,
                                                     bool batched_gemm) {
-  switch (kind) {
-    case EngineKind::kModel:
-      return std::make_unique<engine::ModelEngine>();
-    case EngineKind::kScfHf: {
-      engine::ScfEngineOptions opts;
-      opts.xc = scf::XcModel::kHartreeFock;
-      opts.batched_gemm = batched_gemm;
-      return std::make_unique<engine::ScfEngine>(opts);
-    }
-    case EngineKind::kScfLda: {
-      engine::ScfEngineOptions opts;
-      opts.xc = scf::XcModel::kLda;
-      // Analytic gradients cover HF only; LDA falls back to energy FD.
-      opts.hessian_mode = engine::HessianMode::kEnergyFd;
-      opts.batched_gemm = batched_gemm;
-      return std::make_unique<engine::ScfEngine>(opts);
-    }
-  }
-  QFR_ASSERT(false, "unknown engine kind");
-  return nullptr;
+  if (kind == EngineKind::kModel)
+    return std::make_unique<engine::ModelEngine>();
+  return std::make_unique<engine::ScfEngine>(scf_options(kind, batched_gemm));
 }
 
 engine::EngineFallbackChain make_fallback_chain(EngineKind kind,
                                                 bool batched_gemm) {
   engine::EngineFallbackChain chain;
-  if (kind == EngineKind::kScfHf) {
+  if (kind != EngineKind::kModel) {
     // Same physics, hardier numerics: the energy-FD Hessian needs only
     // converged energies, not analytic gradients.
-    engine::ScfEngineOptions opts;
-    opts.xc = scf::XcModel::kHartreeFock;
+    engine::ScfEngineOptions opts = scf_options(kind, batched_gemm);
     opts.hessian_mode = engine::HessianMode::kEnergyFd;
-    opts.batched_gemm = batched_gemm;
     chain.push_back(std::make_unique<engine::ScfEngine>(opts));
   }
   // Last resort for every ladder: the classical surrogate always returns

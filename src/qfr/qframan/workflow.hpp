@@ -220,14 +220,17 @@ SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
                             bool compute_ir);
 
 /// Factory for the engine selected by `kind` (shared by the workflow and
-/// the benches). `batched_gemm` is forwarded to the SCF engines.
+/// the benches). Both SCF kinds build their Hessian from analytic
+/// gradients (HessianMode::kGradientFd) and differ only in the XC model.
+/// `batched_gemm` is forwarded to the SCF engines.
 std::unique_ptr<engine::FragmentEngine> make_engine(EngineKind kind,
                                                     bool batched_gemm = true);
 
-/// Degradation ladder below the primary engine `kind`: analytic-gradient
-/// HF falls back to energy-only finite differences, and everything
-/// bottoms out at the classical model surrogate (always available, always
-/// convergent). Used by the workflow when enable_fallback is set.
+/// Degradation ladder below the primary engine `kind`: an SCF kind falls
+/// back to energy-only finite differences at the same XC model, and
+/// everything bottoms out at the classical model surrogate (always
+/// available, always convergent). Used by the workflow when
+/// enable_fallback is set.
 engine::EngineFallbackChain make_fallback_chain(EngineKind kind,
                                                 bool batched_gemm = true);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "qfr/chem/molecule.hpp"
 #include "qfr/chem/protein.hpp"
@@ -253,27 +254,55 @@ INSTANTIATE_TEST_SUITE_P(AllTwenty, ResidueTypeSweep,
                          ::testing::Range(0, chem::kNumResidueTypes));
 
 TEST(ScfEngine, GradientModeMatchesEnergyFdHessian) {
-  // The production FD-of-analytic-gradient Hessian must agree with the
-  // O((3N)^2) energy-difference reference to FD accuracy.
+  // For both XC models, the production FD-of-analytic-gradient Hessian
+  // must agree with the O((3N)^2) energy-difference reference to FD
+  // accuracy, and the single displacements the two modes share give
+  // bitwise the same polarizability and dipole derivatives.
   const Molecule w = chem::make_water({0, 0, 0});
-  ScfEngineOptions grad_opts;
-  grad_opts.hessian_mode = HessianMode::kGradientFd;
-  grad_opts.compute_dalpha = false;
-  ScfEngineOptions efd_opts;
-  efd_opts.hessian_mode = HessianMode::kEnergyFd;
-  efd_opts.compute_dalpha = false;
-  const FragmentResult hg = ScfEngine(grad_opts).compute(w);
-  const FragmentResult he = ScfEngine(efd_opts).compute(w);
-  EXPECT_LT(la::max_abs_diff(hg.hessian, he.hessian), 5e-5);
-  // Frequencies agree to a fraction of a wavenumber in the stretch region.
-  const la::Vector fg =
-      spectra::vibrational_frequencies_cm(mass_weight(hg.hessian, w));
-  const la::Vector fe =
-      spectra::vibrational_frequencies_cm(mass_weight(he.hessian, w));
-  for (std::size_t i = 6; i < 9; ++i)
-    EXPECT_NEAR(fg[i], fe[i], 2.0) << "mode " << i;
-  // And it is far cheaper: 2*(3N) jobs instead of 2*(3N) + 4*C(3N,2).
-  EXPECT_LT(hg.displacement_tasks, he.displacement_tasks / 5);
+  for (const scf::XcModel xc :
+       {scf::XcModel::kHartreeFock, scf::XcModel::kLda}) {
+    SCOPED_TRACE(xc == scf::XcModel::kLda ? "LDA" : "HF");
+    ScfEngineOptions grad_opts;
+    grad_opts.xc = xc;
+    grad_opts.hessian_mode = HessianMode::kGradientFd;
+    ScfEngineOptions efd_opts = grad_opts;
+    efd_opts.hessian_mode = HessianMode::kEnergyFd;
+    const FragmentResult hg = ScfEngine(grad_opts).compute(w);
+    const FragmentResult he = ScfEngine(efd_opts).compute(w);
+    EXPECT_LT(la::max_abs_diff(hg.hessian, he.hessian), 5e-5);
+    // Frequencies agree to a fraction of a wavenumber in the stretch
+    // region.
+    const la::Vector fg =
+        spectra::vibrational_frequencies_cm(mass_weight(hg.hessian, w));
+    const la::Vector fe =
+        spectra::vibrational_frequencies_cm(mass_weight(he.hessian, w));
+    for (std::size_t i = 6; i < 9; ++i)
+      EXPECT_NEAR(fg[i], fe[i], 2.0) << "mode " << i;
+    EXPECT_EQ(la::max_abs_diff(hg.dalpha, he.dalpha), 0.0);
+    EXPECT_EQ(la::max_abs_diff(hg.dmu, he.dmu), 0.0);
+    // And it is far cheaper: 2*(3N) jobs instead of 2*(3N) + 4*C(3N,2).
+    EXPECT_EQ(hg.displacement_tasks, 2 * 9);
+    EXPECT_EQ(he.displacement_tasks, 2 * 9 + 4 * 36);
+  }
+}
+
+TEST(ScfEngine, NameEncodesXcModelAndHessianMode) {
+  // Result caches key on the engine name: HF and LDA, and the gradient
+  // and energy-FD Hessians, must never share a namespace.
+  std::vector<std::string> names;
+  for (const scf::XcModel xc :
+       {scf::XcModel::kHartreeFock, scf::XcModel::kLda})
+    for (const HessianMode mode :
+         {HessianMode::kGradientFd, HessianMode::kEnergyFd}) {
+      ScfEngineOptions opts;
+      opts.xc = xc;
+      opts.hessian_mode = mode;
+      names.push_back(ScfEngine(opts).name());
+    }
+  EXPECT_EQ(names[0], "scf_hf+gradient_fd");
+  EXPECT_EQ(names[1], "scf_hf+energy_fd");
+  EXPECT_EQ(names[2], "scf_lda+gradient_fd");
+  EXPECT_EQ(names[3], "scf_lda+energy_fd");
 }
 
 TEST(ScfEngine, DisplacementWorkersMatchSerial) {

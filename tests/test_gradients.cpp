@@ -19,42 +19,72 @@ namespace {
 using chem::Element;
 using chem::Molecule;
 
-la::Vector analytic(const Molecule& m) {
-  auto ctx = std::make_shared<scf::ScfContext>(scf::ScfContext::build(m));
+scf::ScfOptions tight_options(scf::XcModel xc) {
   scf::ScfOptions opts;
+  opts.xc = xc;
   opts.energy_tolerance = 1e-12;
   opts.commutator_tolerance = 1e-9;
+  return opts;
+}
+
+la::Vector analytic(const Molecule& m,
+                    scf::XcModel xc = scf::XcModel::kHartreeFock,
+                    scf::BasisKind basis = scf::BasisKind::kSto3g) {
+  auto ctx =
+      std::make_shared<scf::ScfContext>(scf::ScfContext::build(m, basis));
+  const scf::ScfOptions opts = tight_options(xc);
   const auto res = scf::ScfSolver(ctx, opts).solve();
-  return rhf_gradient(*ctx, res);
+  return xc == scf::XcModel::kLda
+             ? lda_gradient(*ctx, res, opts.grid_radial_points)
+             : rhf_gradient(*ctx, res);
 }
 
-double energy(const Molecule& m) {
-  auto ctx = std::make_shared<scf::ScfContext>(scf::ScfContext::build(m));
-  scf::ScfOptions opts;
-  opts.energy_tolerance = 1e-12;
-  opts.commutator_tolerance = 1e-9;
-  return scf::ScfSolver(ctx, opts).solve().energy;
+double energy(const Molecule& m, scf::XcModel xc, scf::BasisKind basis) {
+  auto ctx =
+      std::make_shared<scf::ScfContext>(scf::ScfContext::build(m, basis));
+  return scf::ScfSolver(ctx, tight_options(xc)).solve().energy;
 }
 
-la::Vector finite_difference(const Molecule& m, double h = 2e-4) {
+la::Vector finite_difference(const Molecule& m, scf::XcModel xc,
+                             scf::BasisKind basis, double h = 2e-4) {
   la::Vector g(3 * m.size());
   for (std::size_t c = 0; c < g.size(); ++c) {
     geom::Vec3 d;
     d[static_cast<int>(c % 3)] = h;
-    const double ep = energy(m.displaced(c / 3, d));
+    const double ep = energy(m.displaced(c / 3, d), xc, basis);
     d[static_cast<int>(c % 3)] = -h;
-    const double em = energy(m.displaced(c / 3, d));
+    const double em = energy(m.displaced(c / 3, d), xc, basis);
     g[c] = (ep - em) / (2.0 * h);
   }
   return g;
 }
 
-void expect_match(const Molecule& m, double tol) {
-  const la::Vector ana = analytic(m);
-  const la::Vector fd = finite_difference(m);
+void expect_match(const Molecule& m, double tol,
+                  scf::XcModel xc = scf::XcModel::kHartreeFock,
+                  scf::BasisKind basis = scf::BasisKind::kSto3g) {
+  const la::Vector ana = analytic(m, xc, basis);
+  const la::Vector fd = finite_difference(m, xc, basis);
   ASSERT_EQ(ana.size(), fd.size());
   for (std::size_t c = 0; c < ana.size(); ++c)
     EXPECT_NEAR(ana[c], fd[c], tol) << "coordinate " << c;
+}
+
+void expect_translational_sum_rule(const la::Vector& g) {
+  for (int c = 0; c < 3; ++c) {
+    double sum = 0.0;
+    for (std::size_t a = 0; 3 * a < g.size(); ++a) sum += g[3 * a + c];
+    EXPECT_NEAR(sum, 0.0, 1e-9) << "component " << c;
+  }
+}
+
+// Bent H2S off every axis (S-H ~2.5 bohr, ~89 degrees): the third-row
+// shells of the basis.
+Molecule hydrogen_sulfide() {
+  Molecule m;
+  m.add(Element::S, {0.1, -0.05, 0.2});
+  m.add(Element::H, {2.6, 0.1, 0.45});
+  m.add(Element::H, {0.05, 2.45, -0.35});
+  return m;
 }
 
 TEST(RhfGradient, H2MatchesFiniteDifference) {
@@ -84,12 +114,7 @@ TEST(RhfGradient, RotatedWater) {
 TEST(RhfGradient, TranslationalSumRuleExact) {
   // Sum of gradient over atoms vanishes component-wise (analytic
   // translational invariance, no FD noise involved).
-  const la::Vector g = analytic(chem::make_water({0, 0, 0}, 0.3));
-  for (int c = 0; c < 3; ++c) {
-    double sum = 0.0;
-    for (std::size_t a = 0; a < 3; ++a) sum += g[3 * a + c];
-    EXPECT_NEAR(sum, 0.0, 1e-9) << "component " << c;
-  }
+  expect_translational_sum_rule(analytic(chem::make_water({0, 0, 0}, 0.3)));
 }
 
 TEST(RhfGradient, NearZeroAtEquilibriumBondLength) {
@@ -137,14 +162,40 @@ TEST(RhfGradient, SplitValenceBasisMatchesFiniteDifference) {
   EXPECT_NEAR(ana[5], fd, 1e-6);
 }
 
-// Every value of an ERI tensor and a gradient, as raw bytes.
+// The LDA gradient is the exact derivative of the grid energy the LDA SCF
+// minimises: its basis-function, point-moving and Becke-weight terms
+// included, it matches central differences of that energy.
+TEST(LdaGradient, OffAxisRotatedWaterMatchesFiniteDifference) {
+  expect_match(chem::make_water({0.5, -0.3, 0.2}, 0.9), 1e-6,
+               scf::XcModel::kLda);
+}
+
+TEST(LdaGradient, SplitValenceWaterMatchesFiniteDifference) {
+  expect_match(chem::make_water({0.2, 0.1, -0.3}, 0.4), 1e-6,
+               scf::XcModel::kLda, scf::BasisKind::kB631g);
+}
+
+TEST(LdaGradient, HydrogenSulfideMatchesFiniteDifference) {
+  expect_match(hydrogen_sulfide(), 1e-6, scf::XcModel::kLda);
+}
+
+TEST(LdaGradient, TranslationalSumRuleExact) {
+  expect_translational_sum_rule(
+      analytic(chem::make_water({0, 0, 0}, 0.3), scf::XcModel::kLda));
+  expect_translational_sum_rule(
+      analytic(hydrogen_sulfide(), scf::XcModel::kLda));
+}
+
+// Every value of an ERI tensor and the HF and LDA gradients, as raw bytes.
 struct IntegralBytes {
   std::vector<double> eri;
   la::Vector grad;
+  la::Vector lda_grad;
 };
 
 IntegralBytes integral_bytes(const scf::ScfContext& ctx,
-                             const scf::ScfResult& res) {
+                             const scf::ScfResult& res,
+                             const scf::ScfResult& lda_res) {
   IntegralBytes out;
   const EriTensor eri(ctx.bs);
   const std::size_t n = eri.n_functions();
@@ -154,6 +205,7 @@ IntegralBytes integral_bytes(const scf::ScfContext& ctx,
         for (std::size_t l = 0; l < n; ++l)
           out.eri.push_back(eri(i, j, k, l));
   out.grad = rhf_gradient(ctx, res);
+  out.lda_grad = lda_gradient(ctx, lda_res, scf::ScfOptions{}.grid_radial_points);
   return out;
 }
 
@@ -169,7 +221,10 @@ TEST(RhfGradient, ConcurrentBuildsMatchSerialBitwise) {
   auto ctx = std::make_shared<scf::ScfContext>(
       scf::ScfContext::build(w, scf::BasisKind::kB631g));
   const auto res = scf::ScfSolver(ctx).solve();
-  const IntegralBytes serial = integral_bytes(*ctx, res);
+  scf::ScfOptions lda_opts;
+  lda_opts.xc = scf::XcModel::kLda;
+  const auto lda_res = scf::ScfSolver(ctx, lda_opts).solve();
+  const IntegralBytes serial = integral_bytes(*ctx, res, lda_res);
 
   constexpr std::size_t kThreads = 4;
   ThreadPool pool(kThreads);
@@ -180,12 +235,14 @@ TEST(RhfGradient, ConcurrentBuildsMatchSerialBitwise) {
   for (std::size_t t = 0; t < kThreads; ++t)
     futures.push_back(pool.submit([&] {
       all_started.arrive_and_wait();
-      return integral_bytes(*ctx, res);
+      return integral_bytes(*ctx, res, lda_res);
     }));
   for (std::size_t t = 0; t < kThreads; ++t) {
     const IntegralBytes got = futures[t].get();
     EXPECT_TRUE(bitwise_equal(got.eri, serial.eri)) << "thread task " << t;
     EXPECT_TRUE(bitwise_equal(got.grad, serial.grad)) << "thread task " << t;
+    EXPECT_TRUE(bitwise_equal(got.lda_grad, serial.lda_grad))
+        << "thread task " << t;
   }
 }
 
@@ -194,6 +251,7 @@ TEST(RhfGradient, RequiresConvergedScf) {
   auto ctx = std::make_shared<scf::ScfContext>(scf::ScfContext::build(w));
   scf::ScfResult fake;
   EXPECT_THROW(rhf_gradient(*ctx, fake), InvalidArgument);
+  EXPECT_THROW(lda_gradient(*ctx, fake, 40), InvalidArgument);
 }
 
 }  // namespace

@@ -373,6 +373,50 @@ TEST(Serve, CrossTenantCacheDedup) {
   EXPECT_LT(max_diff / peak, 1e-6);
 }
 
+double relative_l2(const std::vector<double>& a, const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double diff = 0.0, norm = 0.0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    diff += (a[i] - b[i]) * (a[i] - b[i]);
+    norm += b[i] * b[i];
+  }
+  return std::sqrt(diff / norm);
+}
+
+TEST(Serve, SharedCacheKeepsHfAndLdaResultsApart) {
+  // One shared cache, an HF request and then an LDA request for the same
+  // water: the LDA sweep must compute its own result, not be served the
+  // HF one from the cache, and match a direct LDA workflow run.
+  const std::size_t n_waters = 1;
+  qframan::WorkflowOptions wopts;
+  wopts.engine = qframan::EngineKind::kScfLda;
+  wopts.sigma_cm = 20.0;
+  wopts.omega_points = 400;
+  const qframan::WorkflowResult solo =
+      qframan::RamanWorkflow(wopts).run(water_cluster(n_waters));
+
+  ServerOptions sopts;
+  sopts.n_leaders = 1;
+  sopts.cache.enabled = true;
+  Server server(sopts);
+  SpectrumRequest hf = water_request(n_waters);
+  hf.engine = qframan::EngineKind::kScfHf;
+  SpectrumRequest lda = water_request(n_waters);
+  lda.engine = qframan::EngineKind::kScfLda;
+  RequestHandle h_hf = server.submit(hf);
+  const RequestOutcome& out_hf = h_hf.wait();
+  ASSERT_EQ(out_hf.state, RequestState::kCompleted) << out_hf.error;
+  RequestHandle h_lda = server.submit(lda);
+  const RequestOutcome& out_lda = h_lda.wait();
+  ASSERT_EQ(out_lda.state, RequestState::kCompleted) << out_lda.error;
+
+  EXPECT_EQ(out_lda.report.n_cache_hits, 0u);
+  EXPECT_LT(relative_l2(out_lda.spectrum.intensity, solo.spectrum.intensity),
+            1e-6);
+  EXPECT_GT(relative_l2(out_lda.spectrum.intensity, out_hf.spectrum.intensity),
+            0.1);
+}
+
 TEST(Serve, ClientCancelIsPromptAndTerminal) {
   ServerOptions sopts;
   sopts.n_leaders = 1;
