@@ -255,10 +255,13 @@ fi
 # leader's fragments and displacement jobs, and the integral and gradient
 # suites, whose fixed-size Hermite tables must stay in bounds (ASan/UBSan)
 # and whose per-thread Hermite scratch runs concurrently on every worker
-# thread (TSan).
+# thread (TSan), and the DFPT suite, whose P1 phase runs strided GEMM
+# tasks at raw pointer offsets into the MO coefficients and amplitudes
+# (ASan/UBSan).
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
-                  test_wire test_common test_integrals test_gradients)
+                  test_wire test_common test_integrals test_gradients
+                  test_dfpt)
 
 for SAN in address undefined thread; do
   case "$SAN" in

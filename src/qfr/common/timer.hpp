@@ -22,6 +22,16 @@ class WallTimer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
+  /// Elapsed seconds since construction or the last reset()/lap(), and
+  /// restart from that same instant: consecutive laps tile the timeline
+  /// with no gap between them.
+  double lap() {
+    const clock::time_point now = clock::now();
+    const double s = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return s;
+  }
+
   /// Elapsed nanoseconds since construction or the last reset().
   std::int64_t nanoseconds() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -

@@ -1,15 +1,12 @@
 #include "qfr/dfpt/response.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/log.hpp"
 #include "qfr/common/timer.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/obs/session.hpp"
-#include "qfr/poisson/multipole_poisson.hpp"
 #include "qfr/xc/lda.hpp"
 
 namespace qfr::dfpt {
@@ -25,12 +22,9 @@ ResponseEngine::ResponseEngine(std::shared_ptr<const scf::ScfContext> ctx,
     : ctx_(std::move(ctx)), scf_(scf_state), xc_(xc), options_(options) {
   QFR_REQUIRE(ctx_ != nullptr, "null SCF context");
   QFR_REQUIRE(scf_.converged, "ResponseEngine requires a converged SCF state");
-  if (options_.batch != nullptr) {
-    exec_ = options_.batch;
-  } else {
-    owned_exec_ = std::make_unique<la::BatchedExecutor>(
-        options_.batched ? la::BatchedExecutor::Policy::kBatched
-                         : la::BatchedExecutor::Policy::kEager);
+  exec_ = options_.batch;
+  if (exec_ == nullptr) {
+    owned_exec_ = std::make_unique<la::BatchedExecutor>();
     exec_ = owned_exec_.get();
   }
   if (xc_ == scf::XcModel::kLda) {
@@ -40,8 +34,6 @@ ResponseEngine::ResponseEngine(std::shared_ptr<const scf::ScfContext> ctx,
     const Vector rho0 = grid::density_on_batch(*batch_, scf_.density);
     fxc_.assign(rho0.size(), 0.0);
     xc::lda_exchange_batch(rho0, {}, {}, fxc_);
-    if (options_.use_grid_poisson)
-      poisson_ = std::make_unique<poisson::MultipolePoisson>(*grid_, 4);
   }
   if (obs::Session* s = obs::current()) {
     obs::MetricsRegistry& m = s->metrics();
@@ -55,105 +47,60 @@ ResponseEngine::ResponseEngine(std::shared_ptr<const scf::ScfContext> ctx,
 }
 
 void ResponseEngine::record_phase(double PhaseTimes::*field,
-                                  obs::Histogram* hist, double seconds) {
+                                  obs::Histogram* hist) {
+  const double seconds = phase_clock_.lap();
   times_.*field += seconds;
   if (hist != nullptr) hist->observe(seconds);
 }
 
-std::vector<Matrix> ResponseEngine::induced_fock_many(
-    std::span<const Matrix* const> p1s) {
+Matrix ResponseEngine::induced_fock(const Matrix& p1) {
+  const bool lda = xc_ == scf::XcModel::kLda;
   const std::size_t n = ctx_->bs.n_functions();
-  const std::size_t nd = p1s.size();
-  std::vector<Matrix> vs(nd);
-  WallTimer t;
 
-  if (xc_ == scf::XcModel::kHartreeFock) {
-    // Analytic response Coulomb + exchange, one direction after another
-    // (the ERI contractions are not GEMM-shaped; only the timing is
-    // batched).
+  // Phase n1 (LDA): the response density on the grid (the paper's hot
+  // GEMM, Fig. 9).
+  Vector n1;
+  if (lda) {
     {
-      QFR_TRACE_SPAN("dfpt.v1", "dfpt");
-      for (std::size_t d = 0; d < nd; ++d) vs[d] = ctx_->eri.coulomb(*p1s[d]);
+      QFR_TRACE_SPAN("dfpt.n1", "dfpt");
+      n1 = grid::density_on_batch(*batch_, p1);
+      flops_ += la::gemm_flops(batch_->chi.rows(), n, n);
     }
     // Recorded after the span closes so the phase time absorbs the span's
     // own emission cost: the four-phase sum then tracks the solve timer
     // even when tracing is on.
-    record_phase(&PhaseTimes::v1, h_v1_, t.seconds());
-    t.reset();
-    {
-      QFR_TRACE_SPAN("dfpt.h1", "dfpt");
-      for (std::size_t d = 0; d < nd; ++d) {
-        const Matrix k = ctx_->eri.exchange(*p1s[d]);
-        for (std::size_t a = 0; a < n; ++a)
-          for (std::size_t b = 0; b < n; ++b) vs[d](a, b) -= 0.5 * k(a, b);
-      }
-    }
-    record_phase(&PhaseTimes::h1, h_h1_, t.seconds());
-    return vs;
+    record_phase(&PhaseTimes::n1, h_n1_);
   }
 
-  // LDA: the four-phase cycle. Phase n1: all response densities on the
-  // grid in one same-shape batch (the paper's hot GEMM, Fig. 9).
-  t.reset();
-  std::vector<Vector> n1s;
-  {
-    QFR_TRACE_SPAN("dfpt.n1", "dfpt");
-    n1s = grid::density_on_batch_many(*exec_, *batch_, p1s);
-    flops_ += static_cast<std::int64_t>(nd) *
-              la::gemm_flops(batch_->chi.rows(), n, n);
-  }
-  record_phase(&PhaseTimes::n1, h_n1_, t.seconds());
-
-  // Phase v1: response Hartree potential — either analytic ERIs or the
-  // multipole Poisson solve on the grid (the paper's production path).
-  t.reset();
-  std::vector<Vector> v1_grids(nd);  // grid-sampled potential for phase h1
+  // Phase v1: the response Hartree potential as the analytic J(P1).
+  Matrix v;
   {
     QFR_TRACE_SPAN("dfpt.v1", "dfpt");
-    for (std::size_t d = 0; d < nd; ++d) {
-      if (poisson_ != nullptr) {
-        vs[d].resize_zero(n, n);
-        v1_grids[d] = poisson_->solve(n1s[d]);
-      } else {
-        vs[d] = ctx_->eri.coulomb(*p1s[d]);
-      }
-    }
+    v = ctx_->eri.coulomb(p1);
   }
-  record_phase(&PhaseTimes::v1, h_v1_, t.seconds());
+  record_phase(&PhaseTimes::v1, h_v1_);
 
-  // Phase h1: fold v1 + f_xc * n1 back into matrix form — one symmetric
-  // strength-reduced contraction per direction, sharing the packed chi
-  // operand across the batch.
-  t.reset();
+  // Phase h1: the rest of the induced Fock matrix — -K(P1)/2 for HF, or
+  // f_xc * n1 folded back into matrix form for LDA (one symmetric
+  // strength-reduced contraction).
   {
     QFR_TRACE_SPAN("dfpt.h1", "dfpt");
-    std::vector<Vector> v1_pts(nd);
-    std::vector<Matrix*> v_matrices(nd);
-    for (std::size_t d = 0; d < nd; ++d) {
-      v1_pts[d].resize(n1s[d].size());
-      for (std::size_t i = 0; i < n1s[d].size(); ++i) {
-        v1_pts[d][i] = fxc_[i] * n1s[d][i];
-        if (!v1_grids[d].empty()) v1_pts[d][i] += v1_grids[d][i];
-      }
-      v_matrices[d] = &vs[d];
+    if (lda) {
+      Vector v1_pts(n1.size());
+      for (std::size_t i = 0; i < n1.size(); ++i) v1_pts[i] = fxc_[i] * n1[i];
+      grid::accumulate_potential_matrix(*batch_, grid_->points(), v1_pts, v);
+      flops_ += la::gemm_flops(n, n, batch_->chi.rows());
+    } else {
+      const Matrix k = ctx_->eri.exchange(p1);
+      for (std::size_t a = 0; a < n; ++a)
+        for (std::size_t b = 0; b < n; ++b) v(a, b) -= 0.5 * k(a, b);
     }
-    grid::accumulate_potential_matrix_many(*exec_, *batch_, grid_->points(),
-                                           v1_pts, v_matrices);
-    flops_ += static_cast<std::int64_t>(nd) *
-              la::gemm_flops(n, n, batch_->chi.rows());
   }
-  record_phase(&PhaseTimes::h1, h_h1_, t.seconds());
-  return vs;
+  record_phase(&PhaseTimes::h1, h_h1_);
+  return v;
 }
 
 ResponseResult ResponseEngine::solve(const Matrix& h1) {
-  const Matrix* one[] = {&h1};
-  std::vector<ResponseResult> res = solve_many(one);
-  return std::move(res[0]);
-}
-
-std::vector<ResponseResult> ResponseEngine::solve_many(
-    std::span<const Matrix* const> h1s) {
   obs::SpanGuard solve_span(obs::current(), "cpscf.solve", "dfpt");
   WallTimer solve_timer;
   // Whole-solve wall time is recorded on every exit (including the
@@ -169,11 +116,9 @@ std::vector<ResponseResult> ResponseEngine::solve_many(
   } solve_record{this, &solve_timer};
 
   const std::size_t n = ctx_->bs.n_functions();
-  const std::size_t ndir = h1s.size();
-  QFR_REQUIRE(ndir > 0, "solve_many needs at least one perturbation");
-  for (const Matrix* h1 : h1s)
-    QFR_REQUIRE(h1 != nullptr && h1->rows() == n && h1->cols() == n,
-                "h1 shape mismatch");
+  QFR_REQUIRE(h1.rows() == n && h1.cols() == n,
+              "h1 shape mismatch: " << h1.rows() << "x" << h1.cols()
+                                    << " for " << n << " basis functions");
   const int n_occ = scf_.n_occupied;
   const auto n_virt = static_cast<int>(n) - n_occ;
   QFR_REQUIRE(n_virt > 0, "no virtual orbitals: basis too small for DFPT");
@@ -181,181 +126,129 @@ std::vector<ResponseResult> ResponseEngine::solve_many(
   const Matrix& c = scf_.mo_coefficients;
   const Vector& eps = scf_.mo_energies;
 
-  std::vector<ResponseResult> results(ndir);
-  std::vector<double> last_delta(ndir, 0.0);
+  ResponseResult res;
+  double last_delta = 0.0;
+  // Workspaces, allocated once and reused every iteration.
+  Matrix f1, tmp, f1mo, u, w, mrot;
 
-  // Per-direction workspaces, allocated once and reused every iteration.
-  std::vector<Matrix> f1(ndir), tmp(ndir), f1mo(ndir), u(ndir), w(ndir),
-      mrot(ndir);
-
-  // One lockstep CPSCF pass over `dirs` at the given mixing; directions
-  // freeze individually as they converge. Returns the directions that hit
-  // max_iterations.
-  auto attempt = [&](double mixing, const std::vector<std::size_t>& dirs)
-      -> std::vector<std::size_t> {
-    std::vector<char> converged(ndir, 0);
-    for (std::size_t d : dirs) {
-      results[d] = ResponseResult{};
-      results[d].p1.resize_zero(n, n);
-    }
+  // One CPSCF pass at the given mixing; true when it converged.
+  auto attempt = [&](double mixing) {
+    res = ResponseResult{};
+    res.p1.resize_zero(n, n);
+    phase_clock_.reset();
 
     for (int iter = 1; iter <= options_.max_iterations; ++iter) {
       // A revoked fragment stops mid-solve instead of finishing a result
       // the scheduler would fence out anyway.
       options_.cancel.throw_if_cancelled();
-      std::vector<std::size_t> active;
-      for (std::size_t d : dirs)
-        if (!converged[d]) active.push_back(d);
-      if (active.empty()) break;
 
-      // Induced two-electron response for every active direction
-      // (phases n1/v1/h1 inside, batched across the directions).
-      std::vector<Matrix> v1_ind;
-      if (iter > 1) {
-        std::vector<const Matrix*> p1s;
-        p1s.reserve(active.size());
-        for (std::size_t d : active) p1s.push_back(&results[d].p1);
-        v1_ind = induced_fock_many(p1s);
-      }
+      // Induced two-electron response (phases n1/v1/h1 inside).
+      Matrix v1_ind;
+      if (iter > 1) v1_ind = induced_fock(res.p1);
 
-      // Phase p1: update the response density matrices — Fock assembly,
+      // Phase p1: update the response density matrix — Fock assembly,
       // MO transform, amplitude build, mixing, and the convergence
       // residual, so the four-phase sum accounts for the whole iteration.
-      WallTimer t;
       {
         QFR_TRACE_SPAN("dfpt.p1", "dfpt");
-        // Full first-order Fock and the first half of the MO transform,
-        // tmp = C^T F1, batched across directions.
-        for (std::size_t ai = 0; ai < active.size(); ++ai) {
-          const std::size_t d = active[ai];
-          f1[d] = *h1s[d];
-          if (iter > 1) f1[d] += v1_ind[ai];
-          tmp[d].resize_zero(n, n);
-          exec_->enqueue(la::Trans::kYes, la::Trans::kNo, 1.0, c, f1[d], 0.0,
-                         tmp[d]);
-        }
+        // Full first-order Fock and its MO transform F1_mo = C^T F1 C.
+        f1 = h1;
+        if (iter > 1) f1 += v1_ind;
+        tmp.resize_zero(n, n);
+        exec_->enqueue(la::Trans::kYes, la::Trans::kNo, 1.0, c, f1, 0.0, tmp);
         exec_->flush();
-        // Second half, F1_mo = tmp C: C is the shared B operand of the
-        // whole group.
-        for (std::size_t d : active) {
-          f1mo[d].resize_zero(n, n);
-          exec_->enqueue(la::Trans::kNo, la::Trans::kNo, 1.0, tmp[d], c, 0.0,
-                         f1mo[d]);
-          flops_ += 2 * la::gemm_flops(n, n, n);
-        }
+        f1mo.resize_zero(n, n);
+        exec_->enqueue(la::Trans::kNo, la::Trans::kNo, 1.0, tmp, c, 0.0, f1mo);
         exec_->flush();
+        flops_ += 2 * la::gemm_flops(n, n, n);
 
         // Occupied-virtual rotation amplitudes, then the response density
         // as two GEMMs instead of the O(n^4) amplitude loop:
         //   W = C_virt U_vo   (n x n_occ),
         //   M = W C_occ^T     (n x n),
         //   P1 = 2 (M + M^T).
-        for (std::size_t d : active) {
-          u[d].resize_zero(n, n);  // only the (virt, occ) block is used
-          for (int a = n_occ; a < static_cast<int>(n); ++a)
-            for (int i = 0; i < n_occ; ++i) {
-              const double gap = eps[i] - eps[a];
-              QFR_ASSERT(std::fabs(gap) > 1e-10, "vanishing HOMO-LUMO gap");
-              u[d](a, i) = f1mo[d](a, i) / gap;
-            }
-          w[d].resize_zero(n, static_cast<std::size_t>(n_occ));
-          la::GemmTask tw;
-          tw.m = n;
-          tw.n = static_cast<std::size_t>(n_occ);
-          tw.k = static_cast<std::size_t>(n_virt);
-          tw.a = c.data() + n_occ;  // columns [n_occ, n) of C
-          tw.lda = n;
-          tw.ta = la::Trans::kNo;
-          tw.b = u[d].data() + static_cast<std::size_t>(n_occ) * n;
-          tw.ldb = n;  // rows [n_occ, n), columns [0, n_occ) of U
-          tw.tb = la::Trans::kNo;
-          tw.c = w[d].data();
-          tw.ldc = static_cast<std::size_t>(n_occ);
-          exec_->enqueue(tw);
-        }
-        exec_->flush();
-        for (std::size_t d : active) {
-          mrot[d].resize_zero(n, n);
-          la::GemmTask tm;
-          tm.m = n;
-          tm.n = n;
-          tm.k = static_cast<std::size_t>(n_occ);
-          tm.a = w[d].data();
-          tm.lda = static_cast<std::size_t>(n_occ);
-          tm.ta = la::Trans::kNo;
-          tm.b = c.data();  // columns [0, n_occ) of C, shared across dirs
-          tm.ldb = n;
-          tm.tb = la::Trans::kYes;
-          tm.c = mrot[d].data();
-          tm.ldc = n;
-          exec_->enqueue(tm);
-          flops_ += la::gemm_flops(n, static_cast<std::size_t>(n_occ),
-                                   static_cast<std::size_t>(n_virt)) +
-                    la::gemm_flops(n, n, static_cast<std::size_t>(n_occ));
-        }
-        exec_->flush();
-
-        // Symmetrize, mix, and measure the residual per direction.
-        for (std::size_t d : active) {
-          Matrix p1_new(n, n);
-          for (std::size_t mu = 0; mu < n; ++mu)
-            for (std::size_t nu = 0; nu < n; ++nu)
-              p1_new(mu, nu) = 2.0 * (mrot[d](mu, nu) + mrot[d](nu, mu));
-          if (iter > 1) {
-            for (std::size_t k = 0; k < p1_new.size(); ++k)
-              p1_new.data()[k] = mixing * p1_new.data()[k] +
-                                 (1.0 - mixing) * results[d].p1.data()[k];
+        u.resize_zero(n, n);  // only the (virt, occ) block is used
+        for (int a = n_occ; a < static_cast<int>(n); ++a)
+          for (int i = 0; i < n_occ; ++i) {
+            const double gap = eps[i] - eps[a];
+            QFR_ASSERT(std::fabs(gap) > 1e-10, "vanishing HOMO-LUMO gap");
+            u(a, i) = f1mo(a, i) / gap;
           }
-          const double delta = la::max_abs_diff(p1_new, results[d].p1);
-          last_delta[d] = delta;
-          results[d].p1 = std::move(p1_new);
-          results[d].iterations = iter;
-          if (iter > 1 && delta < options_.tolerance) converged[d] = 1;
-        }
-      }
-      record_phase(&PhaseTimes::p1, h_p1_, t.seconds());
-    }
+        w.resize_zero(n, static_cast<std::size_t>(n_occ));
+        la::GemmTask tw;
+        tw.m = n;
+        tw.n = static_cast<std::size_t>(n_occ);
+        tw.k = static_cast<std::size_t>(n_virt);
+        tw.a = c.data() + n_occ;  // columns [n_occ, n) of C
+        tw.lda = n;
+        tw.ta = la::Trans::kNo;
+        tw.b = u.data() + static_cast<std::size_t>(n_occ) * n;
+        tw.ldb = n;  // rows [n_occ, n), columns [0, n_occ) of U
+        tw.tb = la::Trans::kNo;
+        tw.c = w.data();
+        tw.ldc = static_cast<std::size_t>(n_occ);
+        exec_->enqueue(tw);
+        exec_->flush();
+        mrot.resize_zero(n, n);
+        la::GemmTask tm;
+        tm.m = n;
+        tm.n = n;
+        tm.k = static_cast<std::size_t>(n_occ);
+        tm.a = w.data();
+        tm.lda = static_cast<std::size_t>(n_occ);
+        tm.ta = la::Trans::kNo;
+        tm.b = c.data();  // columns [0, n_occ) of C
+        tm.ldb = n;
+        tm.tb = la::Trans::kYes;
+        tm.c = mrot.data();
+        tm.ldc = n;
+        exec_->enqueue(tm);
+        exec_->flush();
+        flops_ += la::gemm_flops(n, static_cast<std::size_t>(n_occ),
+                                 static_cast<std::size_t>(n_virt)) +
+                  la::gemm_flops(n, n, static_cast<std::size_t>(n_occ));
 
-    std::vector<std::size_t> failed;
-    for (std::size_t d : dirs) {
-      if (converged[d]) {
-        results[d].converged = true;
-      } else {
-        failed.push_back(d);
+        // Symmetrize, mix, and measure the residual.
+        Matrix p1_new(n, n);
+        for (std::size_t mu = 0; mu < n; ++mu)
+          for (std::size_t nu = 0; nu < n; ++nu)
+            p1_new(mu, nu) = 2.0 * (mrot(mu, nu) + mrot(nu, mu));
+        if (iter > 1) {
+          for (std::size_t k = 0; k < p1_new.size(); ++k)
+            p1_new.data()[k] = mixing * p1_new.data()[k] +
+                               (1.0 - mixing) * res.p1.data()[k];
+        }
+        last_delta = la::max_abs_diff(p1_new, res.p1);
+        res.p1 = std::move(p1_new);
+        res.iterations = iter;
       }
+      record_phase(&PhaseTimes::p1, h_p1_);
+      if (iter > 1 && last_delta < options_.tolerance) return true;
     }
-    return failed;
+    return false;
   };
 
-  std::vector<std::size_t> all_dirs(ndir);
-  std::iota(all_dirs.begin(), all_dirs.end(), std::size_t{0});
-  std::vector<std::size_t> failed = attempt(options_.mixing, all_dirs);
-
-  if (!failed.empty() && options_.escalate_on_nonconvergence) {
+  bool converged = attempt(options_.mixing);
+  if (!converged && options_.escalate_on_nonconvergence) {
     const double mixing2 = 0.5 * options_.mixing;
-    double worst = 0.0;
-    for (std::size_t d : failed) worst = std::max(worst, last_delta[d]);
     QFR_LOG_WARN("CPSCF did not converge in ", options_.max_iterations,
-                 " iterations (last |dP1| = ", worst, ") for ", failed.size(),
-                 " of ", ndir, " directions; retrying with mixing ", mixing2);
-    failed = attempt(mixing2, failed);
+                 " iterations (last |dP1| = ", last_delta,
+                 "); retrying with mixing ", mixing2);
+    converged = attempt(mixing2);
   }
-
-  if (!failed.empty()) {
-    double worst = 0.0;
-    for (std::size_t d : failed) worst = std::max(worst, last_delta[d]);
+  if (!converged) {
     QFR_NUMERIC_FAIL("CPSCF failed to converge in "
                      << options_.max_iterations
-                     << " iterations (last |dP1| = " << worst
+                     << " iterations (last |dP1| = " << last_delta
                      << ", tolerance " << options_.tolerance
                      << (options_.escalate_on_nonconvergence
                              ? ", escalated retry included)"
                              : ")"));
   }
 
-  if (h_iters_ != nullptr)
-    for (const ResponseResult& r : results) h_iters_->observe(r.iterations);
-  return results;
+  res.converged = true;
+  if (h_iters_ != nullptr) h_iters_->observe(res.iterations);
+  return res;
 }
 
 PolarizabilityResult ResponseEngine::polarizability() {
@@ -363,18 +256,14 @@ PolarizabilityResult ResponseEngine::polarizability() {
   PolarizabilityResult out;
   out.alpha.resize_zero(3, 3);
   out.converged = true;
-  // All three field directions advance in lockstep: every CPSCF phase
-  // runs once per iteration over a batch of three same-shape GEMMs.
-  const std::array<const Matrix*, 3> h1s = {&ctx_->dip[0], &ctx_->dip[1],
-                                            &ctx_->dip[2]};
-  const std::vector<ResponseResult> res = solve_many(h1s);
   for (int d = 0; d < 3; ++d) {
-    out.converged = out.converged && res[d].converged;
-    out.total_iterations += res[d].iterations;
+    const ResponseResult r = solve(ctx_->dip[d]);
+    out.converged = out.converged && r.converged;
+    out.total_iterations += r.iterations;
     for (int cidx = 0; cidx < 3; ++cidx) {
       // alpha_cd = -Tr[P1^(d) D_c]; the minus sign matches the +F.D
       // convention of the perturbation (see ScfOptions::external_field).
-      out.alpha(cidx, d) = -la::trace_product(res[d].p1, ctx_->dip[cidx]);
+      out.alpha(cidx, d) = -la::trace_product(r.p1, ctx_->dip[cidx]);
     }
   }
   out.times = times_;

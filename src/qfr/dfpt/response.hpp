@@ -1,13 +1,10 @@
 #pragma once
 
-#include <array>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "qfr/common/cancel.hpp"
+#include "qfr/common/timer.hpp"
 #include "qfr/grid/molgrid.hpp"
-#include "qfr/poisson/multipole_poisson.hpp"
 #include "qfr/grid/orbital_eval.hpp"
 #include "qfr/la/batched_executor.hpp"
 #include "qfr/la/matrix.hpp"
@@ -28,23 +25,14 @@ struct DfptOptions {
   /// halved (stronger damping of the response oscillation) before
   /// throwing NumericalError.
   bool escalate_on_nonconvergence = true;
-  /// LDA path only: solve the response Hartree potential v1(r) on the
-  /// grid with the atom-centered multipole Poisson solver (the paper's
-  /// literal phase 3) instead of contracting analytic ERIs. Slightly less
-  /// accurate (grid resolution) but exercises the production code path.
-  bool use_grid_poisson = false;
   /// Cooperative cancellation: polled once per CPSCF iteration; a
   /// cancelled token aborts the solve with CancelledError (the runtime
   /// revoked this fragment's lease). Default token is null.
   common::CancelToken cancel;
-  /// Defer the engine's GEMM phases on a BatchedExecutor and flush at
-  /// phase barriers (same-shape grouping, shared-operand packing, SIMD
-  /// kernels). false executes every product at enqueue time — the
-  /// pre-batching semantics, kept as the parity/bench baseline.
-  bool batched = true;
-  /// Optional externally owned executor (a displacement worker shares one
-  /// across its SCF + DFPT solves); must outlive the engine. Null makes
-  /// the engine own a private executor with the policy given by `batched`.
+  /// Executor for the P1 phase's GEMMs, externally owned (a displacement
+  /// worker shares one across its SCF + DFPT solves, and its policy picks
+  /// batched or eager execution); must outlive the engine. Null makes the
+  /// engine own a private kBatched executor.
   la::BatchedExecutor* batch = nullptr;
 };
 
@@ -52,7 +40,7 @@ struct DfptOptions {
 /// (the quantities the paper times and reports in Table I / Fig. 9):
 ///   p1 — response density-matrix update        (paper: P^(1))
 ///   n1 — response density on the grid          (paper: n^(1)(r))
-///   v1 — response potential                    (paper: Poisson solve)
+///   v1 — response Hartree potential J(P1)     (paper: Poisson solve)
 ///   h1 — response Hamiltonian assembly         (paper: H^(1))
 struct PhaseTimes {
   double p1 = 0.0;
@@ -89,7 +77,10 @@ struct PolarizabilityResult {
 ///
 /// For XcModel::kHartreeFock the induced two-electron response is
 /// J(P1) - K(P1)/2; for kLda it is J(P1) + f_xc * n1 integrated on the
-/// grid — the latter follows the paper's four-phase cycle literally.
+/// grid — the latter follows the paper's four-phase cycle, with the
+/// response Hartree potential from analytic ERIs instead of a grid Poisson
+/// solve. Each perturbation is solved on its own (one CPSCF loop per field
+/// direction), as in the paper's per-perturbation DFPT step.
 class ResponseEngine {
  public:
   ResponseEngine(std::shared_ptr<const scf::ScfContext> ctx,
@@ -97,19 +88,12 @@ class ResponseEngine {
                  scf::XcModel xc = scf::XcModel::kHartreeFock,
                  DfptOptions options = {});
 
-  /// Solve the CPSCF equations for an arbitrary perturbation matrix h1.
+  /// Solve the CPSCF equations for an arbitrary perturbation matrix h1:
+  /// the four phases P1 -> n1 -> v1 -> H1 once per iteration, linear
+  /// mixing of successive P1, and the cancel token polled every iteration.
+  /// A first pass that hits max_iterations is retried once at halved
+  /// mixing (when escalation is enabled) before NumericalError.
   ResponseResult solve(const la::Matrix& h1);
-
-  /// Solve several perturbations in lockstep: all directions advance
-  /// through each CPSCF iteration together, so the four phases run once
-  /// per iteration over a batch of same-shape GEMMs (the paper's elastic
-  /// batching applied across field directions). Directions freeze
-  /// individually as they converge; per-direction iteration counts match
-  /// the one-at-a-time solver because the directions never couple.
-  /// Nonconverged directions are retried once at halved mixing (when
-  /// escalation is enabled) before NumericalError.
-  std::vector<ResponseResult> solve_many(
-      std::span<const la::Matrix* const> h1s);
 
   /// Polarizability via three response solves (one per field direction):
   /// alpha_cd = -Tr[P1^(d) D_c].
@@ -127,20 +111,24 @@ class ResponseEngine {
   std::int64_t gemm_flops() const { return flops_; }
 
  private:
-  /// Induced two-electron response for a batch of response densities
-  /// (phases n1/v1/h1 inside, each timed once across the whole batch).
-  std::vector<la::Matrix> induced_fock_many(
-      std::span<const la::Matrix* const> p1s);
-  /// Fold one timed phase interval into the local mirror and, when the
-  /// engine was built under an ambient session, the registry histogram.
-  void record_phase(double PhaseTimes::*field, obs::Histogram* hist,
-                    double seconds);
+  /// Induced two-electron response of one response density (phases
+  /// n1/v1/h1 inside).
+  la::Matrix induced_fock(const la::Matrix& p1);
+  /// Close one phase: the lap of phase_clock_ since the previous phase
+  /// closed goes into the local mirror and, when the engine was built
+  /// under an ambient session, the registry histogram.
+  void record_phase(double PhaseTimes::*field, obs::Histogram* hist);
 
   std::shared_ptr<const scf::ScfContext> ctx_;
   const scf::ScfResult scf_;
   scf::XcModel xc_;
   DfptOptions options_;
   PhaseTimes times_;
+  /// Lap clock of the four phases, restarted at each CPSCF pass: the
+  /// phases tile the iterations, so the bookkeeping between them (timer
+  /// reads, histogram updates, the cancel poll) is counted in a phase and
+  /// the four-phase sum tracks cpscf.solve.seconds.
+  WallTimer phase_clock_;
   std::int64_t flops_ = 0;
 
   // GEMM execution: borrowed from options_.batch or privately owned.
@@ -159,7 +147,6 @@ class ResponseEngine {
   // LDA grid workspace.
   std::shared_ptr<grid::MolGrid> grid_;
   std::unique_ptr<grid::BasisBatch> batch_;
-  std::unique_ptr<poisson::MultipolePoisson> poisson_;  // grid v1 path
   la::Vector fxc_;  ///< f_xc(rho0) at each grid point
 };
 

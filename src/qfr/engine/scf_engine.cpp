@@ -50,7 +50,6 @@ PointResult evaluate_point(const Molecule& mol, const ScfEngineOptions& opts,
   scf::ScfOptions sopts;
   sopts.xc = opts.xc;
   sopts.cancel = cancel;
-  sopts.batched = opts.batched_gemm;
   sopts.batch = &exec;
   // Finite differences of CPSCF polarizabilities amplify residual SCF
   // error by ~1/gap^2; tight thresholds keep the dalpha noise below the
@@ -78,7 +77,6 @@ PointResult evaluate_point(const Molecule& mol, const ScfEngineOptions& opts,
     dfpt::DfptOptions dopts;
     dopts.tolerance = 1e-10;
     dopts.cancel = cancel;
-    dopts.batched = opts.batched_gemm;
     dopts.batch = &exec;
     dfpt::ResponseEngine engine(ctx, scf_res, opts.xc, dopts);
     const dfpt::PolarizabilityResult pol = engine.polarizability();
@@ -133,14 +131,12 @@ FragmentResult ScfEngine::compute(const Molecule& fragment) const {
   sopts.energy_tolerance = 1e-12;
   sopts.commutator_tolerance = 1e-9;
   sopts.cancel = cancel;
-  sopts.batched = options_.batched_gemm;
   sopts.batch = &exec0;
   const scf::ScfResult scf0 = scf::ScfSolver(ctx0, sopts).solve();
   res.energy = scf0.energy;
   if (options_.compute_dalpha) {
     dfpt::DfptOptions dopts0;
     dopts0.cancel = cancel;
-    dopts0.batched = options_.batched_gemm;
     dopts0.batch = &exec0;
     dfpt::ResponseEngine engine0(ctx0, scf0, options_.xc, dopts0);
     const dfpt::PolarizabilityResult pol0 = engine0.polarizability();

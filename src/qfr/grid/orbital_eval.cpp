@@ -4,6 +4,7 @@
 
 #include "qfr/common/error.hpp"
 #include "qfr/la/blas.hpp"
+#include "qfr/la/kernels.hpp"
 
 namespace qfr::grid {
 
@@ -127,61 +128,6 @@ void accumulate_potential_matrix(const BasisBatch& batch,
   la::kernels::execute_task(la::make_gemm_task(
       la::Trans::kYes, la::Trans::kNo, 1.0, scaled, batch.chi, 1.0, v_matrix,
       la::TaskSym::kSymmetricOut));
-}
-
-std::vector<la::Vector> density_on_batch_many(
-    la::BatchedExecutor& exec, const BasisBatch& batch,
-    std::span<const la::Matrix* const> densities) {
-  const std::size_t np = batch.chi.rows();
-  const std::size_t nbf = batch.chi.cols();
-  std::vector<la::Matrix> chip(densities.size());
-  for (std::size_t d = 0; d < densities.size(); ++d) {
-    const la::Matrix& density = *densities[d];
-    QFR_REQUIRE(density.rows() == nbf && density.cols() == nbf,
-                "density shape mismatch");
-    chip[d].resize_zero(np, nbf);
-    exec.enqueue(la::Trans::kNo, la::Trans::kNo, 1.0, batch.chi, density,
-                 0.0, chip[d]);
-  }
-  exec.flush();
-  std::vector<la::Vector> rhos(densities.size());
-  for (std::size_t d = 0; d < densities.size(); ++d) {
-    la::Vector rho(np, 0.0);
-    for (std::size_t p = 0; p < np; ++p) {
-      double acc = 0.0;
-      for (std::size_t mu = 0; mu < nbf; ++mu)
-        acc += chip[d](p, mu) * batch.chi(p, mu);
-      rho[p] = acc;
-    }
-    rhos[d] = std::move(rho);
-  }
-  return rhos;
-}
-
-void accumulate_potential_matrix_many(
-    la::BatchedExecutor& exec, const BasisBatch& batch,
-    std::span<const GridPoint> points, std::span<const la::Vector> v_values,
-    std::span<la::Matrix* const> v_matrices) {
-  const std::size_t np = batch.chi.rows();
-  const std::size_t nbf = batch.chi.cols();
-  QFR_REQUIRE(v_values.size() == v_matrices.size(),
-              "potential batch count mismatch: " << v_values.size()
-                                                 << " value vectors vs "
-                                                 << v_matrices.size()
-                                                 << " matrices");
-  QFR_REQUIRE(points.size() == np, "potential batch size mismatch");
-  std::vector<la::Matrix> scaled(v_values.size());
-  for (std::size_t d = 0; d < v_values.size(); ++d) {
-    QFR_REQUIRE(v_values[d].size() == np, "potential batch size mismatch");
-    QFR_REQUIRE(v_matrices[d]->rows() == nbf && v_matrices[d]->cols() == nbf,
-                "potential matrix shape mismatch");
-    scaled[d] = scale_by_potential(batch, points, v_values[d]);
-    // chi is the shared B operand: the flush packs each chi tile once and
-    // reuses it across every entry of this group.
-    exec.enqueue(la::Trans::kYes, la::Trans::kNo, 1.0, scaled[d], batch.chi,
-                 1.0, *v_matrices[d], la::TaskSym::kSymmetricOut);
-  }
-  exec.flush();
 }
 
 }  // namespace qfr::grid

@@ -2,11 +2,9 @@
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "qfr/basis/basis.hpp"
 #include "qfr/grid/molgrid.hpp"
-#include "qfr/la/batched_executor.hpp"
 #include "qfr/la/matrix.hpp"
 
 namespace qfr::grid {
@@ -44,24 +42,5 @@ void accumulate_potential_matrix(const BasisBatch& batch,
                                  std::span<const GridPoint> points,
                                  std::span<const double> v_values,
                                  la::Matrix& v_matrix);
-
-/// Batched density evaluation: one rho vector per density matrix over the
-/// same chi batch. All chi * P_d products are enqueued on `exec` and
-/// flushed together (one same-shape group), then reduced row-wise. The
-/// DFPT lockstep solver calls this with the three field directions'
-/// response densities.
-std::vector<la::Vector> density_on_batch_many(
-    la::BatchedExecutor& exec, const BasisBatch& batch,
-    std::span<const la::Matrix* const> densities);
-
-/// Batched potential-matrix accumulation over the same chi batch: each
-/// entry scales chi rows by w_p * v_d(r_p) and enqueues the symmetric
-/// contraction scaled_d^T * chi with chi as the shared B operand, so one
-/// packed chi tile serves every displacement/direction in the group.
-/// Flushes before returning (the scaled copies are locals).
-void accumulate_potential_matrix_many(
-    la::BatchedExecutor& exec, const BasisBatch& batch,
-    std::span<const GridPoint> points, std::span<const la::Vector> v_values,
-    std::span<la::Matrix* const> v_matrices);
 
 }  // namespace qfr::grid

@@ -23,8 +23,8 @@ void eri_shell_quartet(const basis::Shell& a, const basis::Shell& b,
 ///
 /// Shell quartets below the Schwarz screening threshold are skipped (their
 /// storage stays zero), which is what keeps fragment-sized molecules cheap.
-/// This exact-Hartree path is the internal reference that validates the
-/// grid-based Poisson solver and the DFPT response machinery.
+/// This exact-Hartree path is also the DFPT response Hartree potential
+/// J(P1), in place of the paper's grid Poisson solve.
 class EriTensor {
  public:
   explicit EriTensor(const basis::BasisSet& bs,

@@ -26,7 +26,7 @@ struct RunContext {
 };
 
 /// Assemble the machine-readable record of one run: the DFPT four-phase
-/// decomposition (P1 / n1(r) / Poisson / H1) and SCF/CPSCF iteration
+/// decomposition (P1 / n1(r) / v1 / H1) and SCF/CPSCF iteration
 /// histograms from the session's registry, the scheduler and supervision
 /// counters plus per-leader utilization from the sweep report, and a full
 /// dump of every registered metric. `sweep` may be null (bench runs that

@@ -1,5 +1,6 @@
 #include "qfr/obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -47,9 +48,11 @@ void append_number(std::string& out, double v) {
     out += buf;
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  out += buf;
+  // Shortest text that parses back to the same double, so a document
+  // read back (a restored spectrum series) is bitwise what was written.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace

@@ -191,9 +191,7 @@ ScfResult ScfSolver::solve(const Matrix* initial_density) const {
   std::unique_ptr<la::BatchedExecutor> owned_exec;
   la::BatchedExecutor* exec = options_.batch;
   if (exec == nullptr) {
-    owned_exec = std::make_unique<la::BatchedExecutor>(
-        options_.batched ? la::BatchedExecutor::Policy::kBatched
-                         : la::BatchedExecutor::Policy::kEager);
+    owned_exec = std::make_unique<la::BatchedExecutor>();
     exec = owned_exec.get();
   }
 

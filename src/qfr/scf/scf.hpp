@@ -51,14 +51,11 @@ struct ScfOptions {
   /// token aborts the solve with CancelledError (the runtime revoked this
   /// fragment's lease). Default token is null — never cancelled, no cost.
   common::CancelToken cancel;
-  /// Route the solver's GEMM-shaped work (DIIS commutators, level-shift
-  /// projector, density builds) through a BatchedExecutor, grouping
-  /// same-shape products between flush barriers. false executes each
-  /// product at enqueue time (the parity/bench baseline).
-  bool batched = true;
-  /// Optional externally owned executor shared across solves (one per
-  /// displacement worker); must outlive every solve() call. Null makes
-  /// each solve use a private executor with the policy given by `batched`.
+  /// Executor for the solver's GEMM-shaped work (DIIS commutators,
+  /// level-shift projector, density builds), externally owned and shared
+  /// across solves (one per displacement worker; its policy picks batched
+  /// or eager execution); must outlive every solve() call. Null makes
+  /// each solve use a private kBatched executor.
   la::BatchedExecutor* batch = nullptr;
 };
 

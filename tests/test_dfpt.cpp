@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "qfr/chem/molecule.hpp"
 #include "qfr/dfpt/response.hpp"
+#include "qfr/la/batched_executor.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/obs/session.hpp"
 #include "qfr/scf/scf.hpp"
@@ -168,29 +169,6 @@ TEST(Dfpt, EscalationHalvesMixingBeforeThrowing) {
   EXPECT_TRUE(r.converged);
 }
 
-TEST(Dfpt, GridPoissonPathMatchesAnalyticHartree) {
-  // Route the response Hartree potential through the multipole Poisson
-  // solver (the paper's literal phase 3) and compare against the
-  // analytic-ERI path: percent-level agreement limited by the 26-point
-  // angular rule.
-  const Molecule w = chem::make_water({0, 0, 0});
-  QmState s = converge(w, scf::XcModel::kLda);
-  ResponseEngine analytic(s.ctx, s.scf_res, scf::XcModel::kLda);
-  DfptOptions gopts;
-  gopts.use_grid_poisson = true;
-  ResponseEngine grid_path(s.ctx, s.scf_res, scf::XcModel::kLda, gopts);
-  const auto a_ref = analytic.polarizability();
-  const auto a_grid = grid_path.polarizability();
-  ASSERT_TRUE(a_ref.converged);
-  ASSERT_TRUE(a_grid.converged);
-  for (int i = 0; i < 3; ++i)
-    EXPECT_NEAR(a_grid.alpha(i, i), a_ref.alpha(i, i),
-                0.05 * std::fabs(a_ref.alpha(i, i)) + 0.02)
-        << "diagonal " << i;
-  // The grid path spends real time in the v1 phase.
-  EXPECT_GT(grid_path.phase_times().v1, 0.0);
-}
-
 TEST(Dfpt, SplitValencePolarizabilityLargerAndFiniteFieldConsistent) {
   // 6-31G water: alpha grows toward the basis-set limit and DFPT still
   // matches finite field.
@@ -232,18 +210,20 @@ TEST(Dfpt, ResponseDensityTracelessInOverlapMetric) {
   EXPECT_NEAR(la::trace_product(r.p1, s.ctx->s), 0.0, 1e-8);
 }
 
-// Refactor seam: routing the CPSCF through the batched executor must be a
-// pure scheduling change — every polarizability entry agrees with the
+// Refactor seam: routing the P1 GEMMs through the batched executor must be
+// a pure scheduling change — every polarizability entry agrees with the
 // eager per-product path to numerical identity territory.
 TEST(Dfpt, BatchedAndEagerExecutionAgree) {
   const Molecule w = chem::make_water({0, 0, 0});
   for (const scf::XcModel xc :
        {scf::XcModel::kHartreeFock, scf::XcModel::kLda}) {
     QmState s = converge(w, xc);
+    la::BatchedExecutor eager_exec(la::BatchedExecutor::Policy::kEager);
+    la::BatchedExecutor batched_exec(la::BatchedExecutor::Policy::kBatched);
     DfptOptions eager;
-    eager.batched = false;
+    eager.batch = &eager_exec;
     DfptOptions batched;
-    batched.batched = true;
+    batched.batch = &batched_exec;
     const PolarizabilityResult a_eager =
         ResponseEngine(s.ctx, s.scf_res, xc, eager).polarizability();
     const PolarizabilityResult a_batched =
@@ -251,6 +231,9 @@ TEST(Dfpt, BatchedAndEagerExecutionAgree) {
     EXPECT_TRUE(a_eager.converged && a_batched.converged);
     EXPECT_LT(la::max_abs_diff(a_eager.alpha, a_batched.alpha), 1e-10)
         << "xc=" << static_cast<int>(xc);
+    // Each engine ran its P1 work on the executor it was handed.
+    EXPECT_GT(eager_exec.stats().tasks, 0);
+    EXPECT_GT(batched_exec.stats().tasks, 0);
   }
 }
 
@@ -288,21 +271,33 @@ TEST(Dfpt, PhaseSumTracksSolveHistogramWithTracingOn) {
   EXPECT_GT(batch_tasks, 0);
 }
 
-// Lockstep multi-direction solve: one solve_many over all three dipole
-// directions equals three independent solves.
-TEST(Dfpt, SolveManyMatchesIndependentSolves) {
+// polarizability() is three independent solves, one per field direction:
+// column d of alpha is bitwise -Tr[P1^(d) D_c] from a fresh engine's
+// solve(D_d), for HF and for the LDA four-phase cycle alike.
+TEST(Dfpt, PolarizabilityColumnsAreIndependentSolvesBitwise) {
   const Molecule w = chem::make_water({0, 0, 0});
-  QmState s = converge(w, scf::XcModel::kHartreeFock);
-  ResponseEngine engine(s.ctx, s.scf_res);
-  const std::array<const la::Matrix*, 3> h1s = {
-      &s.ctx->dip[0], &s.ctx->dip[1], &s.ctx->dip[2]};
-  const std::vector<ResponseResult> many = engine.solve_many(h1s);
-  ASSERT_EQ(many.size(), 3u);
-  for (int d = 0; d < 3; ++d) {
-    ResponseEngine single(s.ctx, s.scf_res);
-    const ResponseResult one = single.solve(s.ctx->dip[d]);
-    EXPECT_TRUE(many[d].converged);
-    EXPECT_LT(la::max_abs_diff(many[d].p1, one.p1), 1e-9) << "dir " << d;
+  for (const scf::XcModel xc :
+       {scf::XcModel::kHartreeFock, scf::XcModel::kLda}) {
+    SCOPED_TRACE("xc=" + std::to_string(static_cast<int>(xc)));
+    QmState s = converge(w, xc);
+    const PolarizabilityResult pol =
+        ResponseEngine(s.ctx, s.scf_res, xc).polarizability();
+    ASSERT_TRUE(pol.converged);
+    int iterations = 0;
+    for (int d = 0; d < 3; ++d) {
+      ResponseEngine single(s.ctx, s.scf_res, xc);
+      const ResponseResult r = single.solve(s.ctx->dip[d]);
+      EXPECT_TRUE(r.converged);
+      iterations += r.iterations;
+      for (int cidx = 0; cidx < 3; ++cidx) {
+        const double ref = -la::trace_product(r.p1, s.ctx->dip[cidx]);
+        const double got = pol.alpha(cidx, d);
+        EXPECT_EQ(std::memcmp(&got, &ref, sizeof(double)), 0)
+            << "alpha(" << cidx << ", " << d << ") = " << got << " vs "
+            << ref;
+      }
+    }
+    EXPECT_EQ(pol.total_iterations, iterations);
   }
 }
 

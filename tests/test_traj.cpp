@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -486,6 +487,38 @@ TEST(JsonlSpectrumSink, ResumeDropsTheTornTailAndKeepsCompleteFrames) {
     ++n;
   }
   EXPECT_EQ(n, 3u);
+  std::remove(path.c_str());
+}
+
+// The series stores doubles as their shortest round-trip text, so a
+// restored frame is bitwise the frame that was computed.
+TEST(JsonlSpectrumSink, RestoredFrameIsBitwiseTheWrittenFrame) {
+  const std::string path = temp_path("series_exact.jsonl");
+  FrameSummary f = tiny_summary(0);
+  f.wall_seconds = 1.0 / 3.0;
+  f.spectrum.omega_cm = {100.0 / 3.0, 2.0 / 7.0, 1e3 * std::sqrt(2.0),
+                         -1.0 / 7.0, 5e-324, 1.7976931348623157e308};
+  f.spectrum.intensity = {1.0 / 3.0, 2.0 / 7.0, 0.1 + 0.2, 1e-17 / 3.0,
+                          6.02214076e23, 123456789.0};
+  f.ir_spectrum.omega_cm = {std::acos(-1.0)};
+  f.ir_spectrum.intensity = {std::exp(1.0)};
+  {
+    JsonlSpectrumSink sink(path);
+    sink.on_frame(f);
+  }
+  JsonlSpectrumSink sink(path, /*resume=*/true);
+  ASSERT_EQ(sink.restored().size(), 1u);
+  const FrameSummary& r = sink.restored()[0];
+  const auto bitwise = [](const std::vector<double>& a,
+                          const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_EQ(std::memcmp(&r.wall_seconds, &f.wall_seconds, sizeof(double)), 0);
+  EXPECT_TRUE(bitwise(r.spectrum.omega_cm, f.spectrum.omega_cm));
+  EXPECT_TRUE(bitwise(r.spectrum.intensity, f.spectrum.intensity));
+  EXPECT_TRUE(bitwise(r.ir_spectrum.omega_cm, f.ir_spectrum.omega_cm));
+  EXPECT_TRUE(bitwise(r.ir_spectrum.intensity, f.ir_spectrum.intensity));
   std::remove(path.c_str());
 }
 
