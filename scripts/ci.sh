@@ -3,6 +3,11 @@
 #
 # Stage 1 (tier 1): full Release configure + build + ctest — the
 #   regression bar every PR must clear.
+# Stage 1b (perfbench build): configure and build the repository
+#   benchmark harness (perfbench/) against the library. It drives
+#   RamanWorkflow, serve::Server, RequestReport, RuntimeOptions and
+#   MasterRuntime by name, so an API change that breaks it fails here
+#   instead of at benchmark time.
 # Stage 2 (robustness): AddressSanitizer, UBSan, and ThreadSanitizer
 #   builds of the fault-injection, checkpoint-integrity, scheduler,
 #   tracker, and supervisor suites. The fault framework corrupts files,
@@ -68,6 +73,10 @@ echo "== tier 1: release build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS" --timeout 300
+
+echo "== perfbench: the benchmark harness must build against the library =="
+cmake -S perfbench -B build/perfbench -G Ninja >/dev/null
+cmake --build build/perfbench --target qfr_perfbench
 
 echo "== soak lane: chaos soak + slow DES studies (release tree) =="
 ctest --test-dir build -C soak -L soak --output-on-failure --timeout 900

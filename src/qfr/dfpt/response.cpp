@@ -246,7 +246,6 @@ ResponseResult ResponseEngine::solve(const Matrix& h1) {
                              : ")"));
   }
 
-  res.converged = true;
   if (h_iters_ != nullptr) h_iters_->observe(res.iterations);
   return res;
 }
@@ -255,10 +254,8 @@ PolarizabilityResult ResponseEngine::polarizability() {
   QFR_TRACE_SPAN("dfpt.polarizability", "dfpt");
   PolarizabilityResult out;
   out.alpha.resize_zero(3, 3);
-  out.converged = true;
   for (int d = 0; d < 3; ++d) {
     const ResponseResult r = solve(ctx_->dip[d]);
-    out.converged = out.converged && r.converged;
     out.total_iterations += r.iterations;
     for (int cidx = 0; cidx < 3; ++cidx) {
       // alpha_cd = -Tr[P1^(d) D_c]; the minus sign matches the +F.D

@@ -61,7 +61,6 @@ struct PhaseTimes {
 struct ResponseResult {
   la::Matrix p1;      ///< first-order AO density matrix
   int iterations = 0;
-  bool converged = false;
 };
 
 /// Full polarizability tensor with diagnostics.
@@ -69,7 +68,6 @@ struct PolarizabilityResult {
   la::Matrix alpha;   ///< 3x3, symmetric, positive definite for bound systems
   PhaseTimes times;
   int total_iterations = 0;
-  bool converged = false;
 };
 
 /// Coupled-perturbed SCF engine for homogeneous electric-field

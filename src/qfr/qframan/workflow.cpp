@@ -80,6 +80,83 @@ SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
   return out;
 }
 
+obs::RunContext PipelineRun::context() const {
+  obs::RunContext ctx;
+  ctx.engine = engine;
+  ctx.n_fragments = fragmentation.fragments.size();
+  ctx.engine_seconds = engine_seconds;
+  ctx.solver_seconds = solver_seconds;
+  ctx.fragmentation_policy = fragmentation.stats.policy;
+  ctx.n_cut_bonds = fragmentation.stats.n_cut_bonds;
+  ctx.balance_factor = fragmentation.stats.balance_factor;
+  return ctx;
+}
+
+frag::Fragmentation decompose(const frag::BioSystem& system,
+                              const frag::FragmentationOptions& options,
+                              obs::Session* session) {
+  frag::Fragmentation fr = [&] {
+    obs::SpanGuard span(session, "workflow.fragmentation", "workflow");
+    return part::fragment_system(system, options);
+  }();
+  if (session != nullptr) {
+    obs::MetricsRegistry& m = session->metrics();
+    m.gauge("qfr.part.n_parts").set(static_cast<double>(fr.stats.n_parts));
+    m.gauge("qfr.part.n_cut_bonds")
+        .set(static_cast<double>(fr.stats.n_cut_bonds));
+    m.gauge("qfr.part.balance_factor").set(fr.stats.balance_factor);
+    m.gauge("qfr.part.n_multicut_atoms")
+        .set(static_cast<double>(fr.stats.n_multicut_atoms));
+  }
+  QFR_LOG_INFO("fragmented system: ", fr.stats.total_fragments,
+               " fragments over ", system.n_atoms(), " atoms");
+  return fr;
+}
+
+void assemble_and_solve(PipelineRun& run, const frag::BioSystem& system,
+                        const frag::AssemblyOptions& assembly,
+                        const la::Vector& axis, double sigma_cm,
+                        SolverKind solver, int lanczos_steps, bool compute_ir,
+                        obs::Session* session) {
+  // Ambient for the solver's own metrics (the Lanczos step count).
+  obs::ScopedSession ambient(session);
+  {
+    obs::SpanGuard span(session, "workflow.assembly", "workflow");
+    run.properties = frag::assemble_global_properties(
+        system, run.fragmentation.fragments, run.sweep.results, assembly);
+  }
+  WallTimer solver_timer;
+  {
+    obs::SpanGuard span(session, "workflow.solve", "workflow");
+    run.spectra = solve_spectra(run.properties, axis, sigma_cm, solver,
+                                lanczos_steps, compute_ir);
+  }
+  run.solver_seconds = solver_timer.seconds();
+}
+
+SweepSummary summarize_sweep(const runtime::RunReport& report) {
+  SweepSummary s;
+  s.n_fragments = report.outcomes.size();
+  s.n_tasks = report.n_tasks;
+  s.n_requeued = report.n_requeued;
+  s.n_retries = report.n_retries;
+  s.n_fault_retries = report.n_fault_retries;
+  s.n_reject_retries = report.n_reject_retries;
+  s.n_rejected = report.n_rejected;
+  s.n_resumed = report.n_resumed;
+  s.n_degraded = report.n_degraded();
+  s.n_failed = report.n_failed();
+  s.n_cache_hits = report.n_cache_hits();
+  s.n_reuse_exact = report.n_reuse_exact();
+  s.n_reuse_refresh = report.n_reuse_refresh();
+  s.n_leader_crashes = report.n_leader_crashes;
+  s.n_leader_hangs = report.n_leader_hangs;
+  s.n_leases_revoked = report.n_leases_revoked;
+  s.n_cancelled = report.n_cancelled;
+  s.outcomes = report.outcomes;
+  return s;
+}
+
 std::string decorate_artifact_path(const std::string& path,
                                    const std::string& suffix) {
   if (path.empty() || suffix.empty()) return path;
@@ -133,24 +210,12 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   // leader/worker thread from RuntimeOptions::obs.
   obs::ScopedSession ambient(session);
 
-  // 1. Fragmentation (the master's decomposition step), dispatched to the
-  // policy selected in FragmentationOptions (MFCC or graph partition).
-  frag::Fragmentation fr = [&] {
-    obs::SpanGuard span(session, "workflow.fragmentation", "workflow");
-    return part::fragment_system(system, options_.fragmentation);
-  }();
+  // 1. Fragmentation (the master's decomposition step).
+  PipelineRun run;
+  run.engine = eng.name();
+  run.fragmentation = decompose(system, options_.fragmentation, session);
+  const frag::Fragmentation& fr = run.fragmentation;
   out.fragmentation_stats = fr.stats;
-  if (session != nullptr) {
-    obs::MetricsRegistry& m = session->metrics();
-    m.gauge("qfr.part.n_parts").set(static_cast<double>(fr.stats.n_parts));
-    m.gauge("qfr.part.n_cut_bonds")
-        .set(static_cast<double>(fr.stats.n_cut_bonds));
-    m.gauge("qfr.part.balance_factor").set(fr.stats.balance_factor);
-    m.gauge("qfr.part.n_multicut_atoms")
-        .set(static_cast<double>(fr.stats.n_multicut_atoms));
-  }
-  QFR_LOG_INFO("fragmented system: ", fr.stats.total_fragments,
-               " fragments over ", system.n_atoms(), " atoms");
   const std::size_t n_fragments = fr.fragments.size();
 
   // 2a. Checkpoint resume: recover the completed prefix of an earlier
@@ -241,31 +306,19 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   ropts.transport = options_.transport;
   ropts.supervision.enabled = options_.supervise;
   ropts.supervision.heartbeat_timeout = options_.heartbeat_timeout;
-  ropts.supervision.poll_interval = options_.supervisor_poll_interval;
   ropts.obs = session;
   const runtime::MasterRuntime rt(std::move(ropts));
   WallTimer engine_timer;
-  runtime::RunReport report = [&] {
+  {
     obs::SpanGuard span(session, "workflow.sweep", "workflow");
-    return rt.run(fr.fragments, eng);
-  }();
-  out.engine_seconds = engine_timer.seconds();
-  out.n_tasks = report.n_tasks;
+    run.sweep = rt.run(fr.fragments, eng);
+  }
+  run.engine_seconds = engine_timer.seconds();
+  runtime::RunReport& report = run.sweep;
   for (const std::size_t id : completed_ids)
     report.results[id] = std::move(restored[id]);
 
-  out.sweep.n_fragments = n_fragments;
-  out.sweep.n_tasks = report.n_tasks;
-  out.sweep.n_requeued = report.n_requeued;
-  out.sweep.n_retries = report.n_retries;
-  out.sweep.n_fault_retries = report.n_fault_retries;
-  out.sweep.n_reject_retries = report.n_reject_retries;
-  out.sweep.n_rejected = report.n_rejected;
-  out.sweep.n_resumed = report.n_resumed;
-  out.sweep.n_degraded = report.n_degraded();
-  out.sweep.n_cache_hits = report.n_cache_hits();
-  out.sweep.n_reuse_exact = report.n_reuse_exact();
-  out.sweep.n_reuse_refresh = report.n_reuse_refresh();
+  out.sweep = summarize_sweep(report);
   out.sweep.n_corrupt_records = n_corrupt_records;
   if (result_cache != nullptr) {
     const cache::CacheStats cs = result_cache->stats();
@@ -273,47 +326,34 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
                  " miss(es), ", cs.inflight_waits, " in-flight wait(s), ",
                  cs.evictions, " eviction(s); hit rate ", cs.hit_rate());
   }
-  out.sweep.n_leader_crashes = report.n_leader_crashes;
-  out.sweep.n_leader_hangs = report.n_leader_hangs;
-  out.sweep.n_leases_revoked = report.n_leases_revoked;
-  out.sweep.n_cancelled = report.n_cancelled;
-  out.sweep.outcomes = report.outcomes;
-  const std::size_t n_bad = report.n_failed();
-  if (n_bad > 0 && !options_.allow_dropped_fragments) {
+  if (out.sweep.n_failed > 0 && !options_.allow_dropped_fragments) {
     // The checkpoint already holds every completed fragment, so a re-run
     // with resume=true recomputes only the failures.
     QFR_NUMERIC_FAIL("fragment sweep failed for "
-                     << n_bad << " of " << n_fragments
+                     << out.sweep.n_failed << " of " << n_fragments
                      << " fragments (completed work checkpointed): "
                      << runtime::first_failure(report.outcomes));
   }
-  out.sweep.n_dropped = n_bad;
 
-  // 3. Eq. (1) assembly into global properties. Dropped fragments (only
-  // possible under allow_dropped_fragments) are skipped rather than fed
-  // in as empty results.
+  // 3-4. Eq. (1) assembly into global properties, then the spectral
+  // solve. Dropped fragments (only possible under
+  // allow_dropped_fragments) are skipped rather than fed in as empty
+  // results.
   frag::AssemblyOptions aopts = options_.assembly;
-  if (out.sweep.n_dropped > 0) aopts.skip_missing_results = true;
-  {
-    obs::SpanGuard span(session, "workflow.assembly", "workflow");
-    out.properties = frag::assemble_global_properties(
-        system, fr.fragments, report.results, aopts);
-  }
-
-  // 4. Spectral solve.
-  const la::Vector axis = spectra::wavenumber_axis(
-      options_.omega_min_cm, options_.omega_max_cm, options_.omega_points);
-  WallTimer solver_timer;
-  {
-    obs::SpanGuard solve_span(session, "workflow.solve", "workflow");
-    SolvedSpectra solved = solve_spectra(
-        out.properties, axis, options_.sigma_cm, options_.solver,
-        options_.lanczos_steps, options_.compute_ir);
-    out.spectrum = std::move(solved.raman);
-    out.ir_spectrum = std::move(solved.ir);
-    out.used_lanczos = solved.used_lanczos;
-  }
-  out.solver_seconds = solver_timer.seconds();
+  if (out.sweep.n_failed > 0) aopts.skip_missing_results = true;
+  assemble_and_solve(
+      run, system, aopts,
+      spectra::wavenumber_axis(options_.omega_min_cm, options_.omega_max_cm,
+                               options_.omega_points),
+      options_.sigma_cm, options_.solver, options_.lanczos_steps,
+      options_.compute_ir, session);
+  out.engine_seconds = run.engine_seconds;
+  out.solver_seconds = run.solver_seconds;
+  out.n_tasks = report.n_tasks;
+  out.properties = std::move(run.properties);
+  out.spectrum = std::move(run.spectra.raman);
+  out.ir_spectrum = std::move(run.spectra.ir);
+  out.used_lanczos = run.spectra.used_lanczos;
 
   // 5. Observability artifacts. Written last so the trace covers every
   // workflow phase; the outcome CSV rides next to the checkpoint (the
@@ -328,17 +368,9 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
       }
     }
     if (!report_path.empty()) {
-      obs::RunContext ctx;
-      ctx.engine = eng.name();
-      ctx.n_fragments = n_fragments;
-      ctx.engine_seconds = out.engine_seconds;
-      ctx.solver_seconds = out.solver_seconds;
-      ctx.fragmentation_policy = fr.stats.policy;
-      ctx.n_cut_bonds = fr.stats.n_cut_bonds;
-      ctx.balance_factor = fr.stats.balance_factor;
       std::ofstream os(report_path);
       if (os.good()) {
-        obs::write_run_report_json(os, *session, &report, ctx);
+        obs::write_run_report_json(os, *session, &report, run.context());
       } else {
         QFR_LOG_WARN("cannot write run report to '", report_path, "'");
       }

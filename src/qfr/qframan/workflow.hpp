@@ -8,6 +8,7 @@
 #include "qfr/fault/validator.hpp"
 #include "qfr/frag/assembly.hpp"
 #include "qfr/frag/fragmentation.hpp"
+#include "qfr/obs/export.hpp"
 #include "qfr/runtime/master_runtime.hpp"
 #include "qfr/spectra/raman.hpp"
 
@@ -101,7 +102,6 @@ struct WorkflowOptions {
   /// leaders' leases, respawn (see runtime::SupervisionOptions).
   bool supervise = false;
   double heartbeat_timeout = 1.0;
-  double supervisor_poll_interval = 0.02;
   /// Observability session for the run (metrics + trace). Not owned; when
   /// null but trace_path or report_path is set, the workflow creates a
   /// private session for the duration of run().
@@ -130,7 +130,7 @@ std::string decorate_artifact_path(const std::string& path,
                                    const std::string& suffix);
 
 /// Sweep-level scheduling/fault-tolerance diagnostics surfaced to the
-/// caller (a condensed runtime::RunReport).
+/// caller (a condensed runtime::RunReport; see summarize_sweep).
 struct SweepSummary {
   std::size_t n_fragments = 0;
   std::size_t n_tasks = 0;
@@ -146,9 +146,10 @@ struct SweepSummary {
   /// Fragments completed by a fallback engine instead of the primary
   /// (graceful degradation; the outcome names the accepting engine).
   std::size_t n_degraded = 0;
-  /// Fragments with no result at all, absent from the assembly (only
-  /// non-zero when allow_dropped_fragments let the run proceed).
-  std::size_t n_dropped = 0;
+  /// Fragments with no accepted result. The workflow drops them from the
+  /// assembly (only non-zero when allow_dropped_fragments let the run
+  /// proceed); a served request with any of them fails.
+  std::size_t n_failed = 0;
   /// Checkpoint records skipped on resume: corrupt, or shaped for another
   /// fragment than the one their id names in this fragmentation.
   std::size_t n_corrupt_records = 0;
@@ -170,6 +171,11 @@ struct SweepSummary {
   /// the checkpoint is flushed, so the completed prefix is resumable).
   std::vector<runtime::FragmentOutcome> outcomes;
 };
+
+/// The SweepSummary of one sweep report, for every entry point (the
+/// workflow's WorkflowResult::sweep and each serve RequestReport).
+/// n_corrupt_records is left 0: only a checkpoint resume knows it.
+SweepSummary summarize_sweep(const runtime::RunReport& report);
 
 /// Everything a run produces.
 struct WorkflowResult {
@@ -218,6 +224,42 @@ SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
                             const la::Vector& axis, double sigma_cm,
                             SolverKind solver, int lanczos_steps,
                             bool compute_ir);
+
+/// One system's pass through fragmentation, sweep, assembly and solve, as
+/// both entry points hold it: RamanWorkflow::run, and each serve request.
+/// They differ only in how the sweep is driven (MasterRuntime's leader
+/// transport, or the server's shared leader pool).
+struct PipelineRun {
+  frag::Fragmentation fragmentation;
+  runtime::RunReport sweep;
+  std::string engine;            ///< primary engine name
+  double engine_seconds = 0.0;   ///< fragment sweep wall time
+  double solver_seconds = 0.0;   ///< spectral solve wall time
+  frag::GlobalProperties properties;
+  SolvedSpectra spectra;
+
+  /// The run and fragmentation sections of the run report.
+  obs::RunContext context() const;
+};
+
+/// Step 1, the master's decomposition: fragment `system` with the policy
+/// selected in `options` (MFCC or graph partition) inside the
+/// workflow.fragmentation span, and set the qfr.part.* gauges on
+/// `session` (may be null).
+frag::Fragmentation decompose(const frag::BioSystem& system,
+                              const frag::FragmentationOptions& options,
+                              obs::Session* session);
+
+/// Steps 3-4: Eq. (1) assembly of `run.sweep`'s results into
+/// `run.properties`, then the spectral solve into `run.spectra`, in the
+/// workflow.assembly and workflow.solve spans of `session` (may be null,
+/// else installed as the ambient session); `run.solver_seconds` times the
+/// solve.
+void assemble_and_solve(PipelineRun& run, const frag::BioSystem& system,
+                        const frag::AssemblyOptions& assembly,
+                        const la::Vector& axis, double sigma_cm,
+                        SolverKind solver, int lanczos_steps, bool compute_ir,
+                        obs::Session* session);
 
 /// Factory for the engine selected by `kind` (shared by the workflow and
 /// the benches). Both SCF kinds build their Hessian from analytic

@@ -61,7 +61,40 @@ MasterRuntime::MasterRuntime(RuntimeOptions options)
               "need at least one worker per leader");
 }
 
-void record_sweep(const SweepScheduler& scheduler, RunReport& report) {
+std::unique_ptr<SweepScheduler> start_sweep(
+    const RuntimeOptions& options, std::span<const frag::Fragment> fragments,
+    std::size_t n_engine_levels, std::size_t initial_engine_level,
+    RunReport& report) {
+  // A fresh per-run policy keeps the runtime reusable.
+  std::unique_ptr<balance::PackingPolicy> policy =
+      options.policy_factory ? options.policy_factory()
+                             : balance::make_size_sensitive_policy();
+  QFR_REQUIRE(policy != nullptr, "policy factory returned null");
+  const balance::CostModel cost;
+  std::vector<balance::WorkItem> items;
+  items.reserve(fragments.size());
+  for (const auto& f : fragments)
+    items.push_back({f.id, f.n_atoms(), cost.evaluate(f.n_atoms())});
+
+  SweepOptions sopts;
+  sopts.straggler_timeout = options.straggler_timeout;
+  sopts.max_retries = options.max_retries;
+  sopts.completed_ids = options.completed_ids;
+  sopts.n_engine_levels = n_engine_levels;
+  sopts.initial_engine_level = initial_engine_level;
+  sopts.validator = options.validator;
+  sopts.retry_backoff_base = options.retry_backoff_base;
+  sopts.retry_backoff_max = options.retry_backoff_max;
+  sopts.retry_backoff_jitter = options.retry_backoff_jitter;
+  report.results.resize(fragments.size());
+  report.fragment_seconds.assign(fragments.size(), 0.0);
+  return std::make_unique<SweepScheduler>(std::move(items), std::move(policy),
+                                          std::move(sopts));
+}
+
+void finish_sweep(const SweepScheduler& scheduler, std::size_t n_cancelled,
+                  double makespan_seconds, obs::Session* obs,
+                  RunReport& report) {
   report.n_tasks = scheduler.n_tasks();
   report.n_requeued = scheduler.n_requeued();
   report.n_retries = scheduler.n_retries();
@@ -73,6 +106,29 @@ void record_sweep(const SweepScheduler& scheduler, RunReport& report) {
   report.n_leases_revoked = scheduler.n_revoked();
   report.outcomes = scheduler.outcomes();
   report.task_log = scheduler.task_log();
+  report.n_cancelled = n_cancelled;
+  report.makespan_seconds = makespan_seconds;
+  if (obs == nullptr) return;
+  // The sweep-wide dispatch counters, mirrored into the registry so the
+  // run report carries them even when the RunReport object is dropped.
+  obs::MetricsRegistry& m = obs->metrics();
+  m.counter("sched.tasks").add(report.n_tasks);
+  m.counter("sched.requeued").add(report.n_requeued);
+  m.counter("sched.retries").add(report.n_retries);
+  m.counter("sched.fault_retries").add(report.n_fault_retries);
+  m.counter("sched.reject_retries").add(report.n_reject_retries);
+  m.counter("sched.rejected").add(report.n_rejected);
+  m.counter("sched.resumed").add(report.n_resumed);
+  m.counter("sched.leases_revoked").add(report.n_leases_revoked);
+  m.counter("sched.cancelled").add(report.n_cancelled);
+  m.counter("sched.leader_crashes").add(report.n_leader_crashes);
+  m.counter("sched.leader_hangs").add(report.n_leader_hangs);
+  m.counter("sched.failed").add(report.n_failed());
+  m.counter("sched.degraded").add(report.n_degraded());
+  m.counter("sched.cache_hits").add(report.n_cache_hits());
+  m.counter("sched.reuse_exact").add(report.n_reuse_exact());
+  m.counter("sched.reuse_refresh").add(report.n_reuse_refresh());
+  m.gauge("sched.makespan_seconds").set(report.makespan_seconds);
 }
 
 std::string first_failure(const std::vector<FragmentOutcome>& outcomes) {
@@ -102,35 +158,12 @@ RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
 RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
                                   const EngineLadder& ladder) const {
   RunReport report;
-  report.results.resize(fragments.size());
   report.leaders.resize(options_.n_leaders);
-  report.fragment_seconds.assign(fragments.size(), 0.0);
-
   obs::Session* const obs = options_.obs;
 
-  // Master side: one scheduler instance shared by all leaders, with a
-  // fresh per-run policy so the runtime stays reusable.
-  std::unique_ptr<balance::PackingPolicy> policy =
-      options_.policy_factory ? options_.policy_factory()
-                              : balance::make_size_sensitive_policy();
-  QFR_REQUIRE(policy != nullptr, "policy factory returned null");
-  std::vector<balance::WorkItem> items;
-  items.reserve(fragments.size());
-  for (const auto& f : fragments)
-    items.push_back(
-        {f.id, f.n_atoms(), options_.cost_model.evaluate(f.n_atoms())});
-
-  SweepOptions sopts;
-  sopts.straggler_timeout = options_.straggler_timeout;
-  sopts.max_retries = options_.max_retries;
-  sopts.completed_ids = options_.completed_ids;
-  sopts.n_engine_levels = ladder.n_levels();
-  sopts.validator = options_.validator;
-  sopts.retry_backoff_base = options_.retry_backoff_base;
-  sopts.retry_backoff_max = options_.retry_backoff_max;
-  sopts.retry_backoff_jitter = options_.retry_backoff_jitter;
-  SweepScheduler scheduler(std::move(items), std::move(policy),
-                           std::move(sopts));
+  // Master side: one scheduler instance shared by all leaders.
+  const std::unique_ptr<SweepScheduler> scheduler =
+      start_sweep(options_, fragments, ladder.n_levels(), 0, report);
 
   const bool supervised = options_.supervision.enabled;
   std::optional<Supervisor> supervisor;
@@ -145,7 +178,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
     so.heartbeat_timeout = options_.supervision.heartbeat_timeout;
     so.poll_interval = options_.supervision.poll_interval;
     so.obs = obs;
-    supervisor.emplace(scheduler, so);
+    supervisor.emplace(*scheduler, so);
   }
 
   // Hand the sweep to the configured leader transport (threads in this
@@ -154,7 +187,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
   // until every fragment is terminal and every leader slot is joined.
   SweepDrive drive{.options = options_,
                    .fragments = fragments,
-                   .scheduler = scheduler};
+                   .scheduler = *scheduler};
   drive.supervisor = supervisor ? &*supervisor : nullptr;
   drive.obs = obs;
   drive.wall = &wall;
@@ -168,9 +201,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
       make_leader_transport(options_.transport);
   transport->run(drive);
 
-  report.makespan_seconds = wall.seconds();
-  record_sweep(scheduler, report);
-  report.n_cancelled = n_cancelled.load();
+  const double makespan = wall.seconds();
   if (supervisor) {
     report.n_leader_crashes = supervisor->n_leader_crashes();
     report.n_leader_hangs = supervisor->n_leader_hangs();
@@ -179,29 +210,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
   // process mode detects pipe EOF locally); supervised crashes are
   // already counted above, never both for the same death.
   report.n_leader_crashes += n_transport_crashes.load();
-
-  if (obs != nullptr) {
-    // The sweep-wide dispatch counters, mirrored into the registry so the
-    // run report carries them even when the RunReport object is dropped.
-    obs::MetricsRegistry& m = obs->metrics();
-    m.counter("sched.tasks").add(report.n_tasks);
-    m.counter("sched.requeued").add(report.n_requeued);
-    m.counter("sched.retries").add(report.n_retries);
-    m.counter("sched.fault_retries").add(report.n_fault_retries);
-    m.counter("sched.reject_retries").add(report.n_reject_retries);
-    m.counter("sched.rejected").add(report.n_rejected);
-    m.counter("sched.resumed").add(report.n_resumed);
-    m.counter("sched.leases_revoked").add(report.n_leases_revoked);
-    m.counter("sched.cancelled").add(report.n_cancelled);
-    m.counter("sched.leader_crashes").add(report.n_leader_crashes);
-    m.counter("sched.leader_hangs").add(report.n_leader_hangs);
-    m.counter("sched.failed").add(report.n_failed());
-    m.counter("sched.degraded").add(report.n_degraded());
-    m.counter("sched.cache_hits").add(report.n_cache_hits());
-    m.counter("sched.reuse_exact").add(report.n_reuse_exact());
-    m.counter("sched.reuse_refresh").add(report.n_reuse_refresh());
-    m.gauge("sched.makespan_seconds").set(report.makespan_seconds);
-  }
+  finish_sweep(*scheduler, n_cancelled.load(), makespan, obs, report);
 
   if (report.n_leader_crashes + report.n_leader_hangs > 0) {
     QFR_LOG_WARN("sweep survived ", report.n_leader_crashes,
@@ -217,7 +226,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
                      o.engine, "' (level ", o.engine_level,
                      ") after: ", o.error);
   }
-  if (scheduler.n_failed() > 0) {
+  if (scheduler->n_failed() > 0) {
     const std::size_t n_bad = report.n_failed();
     const std::string first_error = first_failure(report.outcomes);
     QFR_LOG_WARN("sweep finished with ", n_bad, " failed fragment(s): ",

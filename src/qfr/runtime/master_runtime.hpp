@@ -61,7 +61,6 @@ struct RuntimeOptions {
   /// than an instance so the runtime is reusable: every run() builds a
   /// fresh policy instead of consuming a one-shot object.
   std::function<std::unique_ptr<balance::PackingPolicy>()> policy_factory;
-  balance::CostModel cost_model;
   /// Fragments processing longer than this (wall seconds) are re-queued
   /// to another leader; the revoked copy's completion is fenced out.
   double straggler_timeout = 600.0;
@@ -173,10 +172,26 @@ struct RunReport {
   std::size_t n_reuse_refresh() const;
 };
 
-/// Copy `scheduler`'s dispatch counters (n_tasks through
-/// n_leases_revoked, cancelled), outcomes and task log into `report`.
-/// Every sweep report, the serving layer's included, is filled here.
-void record_sweep(const SweepScheduler& scheduler, RunReport& report);
+/// Set up one sweep over `fragments`, as every entry point does (the
+/// MasterRuntime and each serve request): work items priced by the
+/// default balance::CostModel, a fresh policy from `options`, and a
+/// scheduler with its straggler, retry, backoff, validator and resume
+/// settings, `n_engine_levels` ladder levels and every fragment starting
+/// on `initial_engine_level`. Sizes `report`'s results and
+/// fragment_seconds slots by fragment id.
+std::unique_ptr<SweepScheduler> start_sweep(
+    const RuntimeOptions& options, std::span<const frag::Fragment> fragments,
+    std::size_t n_engine_levels, std::size_t initial_engine_level,
+    RunReport& report);
+
+/// Finish one sweep into `report`: the scheduler's dispatch counters,
+/// outcomes and task log, `n_cancelled` and `makespan_seconds`; then
+/// mirror the sweep counters (sched.*) and the makespan gauge into `obs`
+/// (may be null) so the run report carries them. Leader crash and hang
+/// counts must already be in `report`.
+void finish_sweep(const SweepScheduler& scheduler, std::size_t n_cancelled,
+                  double makespan_seconds, obs::Session* obs,
+                  RunReport& report);
 
 /// "fragment N [reason]: error" for the first outcome without an accepted
 /// result; empty when every fragment completed.

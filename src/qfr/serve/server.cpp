@@ -6,18 +6,15 @@
 #include <condition_variable>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 
-#include "qfr/balance/packing.hpp"
 #include "qfr/common/cancel.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/common/thread_pool.hpp"
-#include "qfr/frag/assembly.hpp"
 #include "qfr/obs/export.hpp"
 #include "qfr/obs/session.hpp"
-#include "qfr/obs/trace.hpp"
-#include "qfr/part/policy.hpp"
 #include "qfr/runtime/master_runtime.hpp"
 #include "qfr/runtime/sweep_scheduler.hpp"
 
@@ -64,9 +61,9 @@ struct EngineBundle {
 /// Server-side state of one request. Lifetime is shared between the
 /// server's active list and every RequestHandle; fields fall into three
 /// synchronization domains: immutable after submit (id, req, ladder,
-/// deadline_at), start-once (fragmentation/scheduler/drive, published by
-/// the `started` release store), and the terminal record (state, outcome,
-/// done) guarded by `m`.
+/// deadline_at), start-once (the pipeline run, scheduler and drive,
+/// published by the `started` release store), and the terminal record
+/// (state, outcome, done) guarded by `m`.
 struct RequestCtx {
   Server* server = nullptr;
   std::size_t id = 0;
@@ -82,14 +79,14 @@ struct RequestCtx {
   std::once_flag start_once;
   std::atomic<bool> started{false};
   double started_at = -1.0;  ///< written before the `started` release
-  frag::Fragmentation fragmentation;
+  /// The request's pass through the workflow's pipeline steps.
+  qframan::PipelineRun run;
   std::unique_ptr<runtime::SweepScheduler> scheduler;
   /// The request's sweep as the runtime's leader step sees it: the
   /// request token cancels its attempts, and accepted results / wall
-  /// seconds land in `report` by fragment id (each slot has a single
+  /// seconds land in `run.sweep` by fragment id (each slot has a single
   /// writer, the leader whose delivery the lease fence accepted).
   runtime::RuntimeOptions runtime_options;
-  runtime::RunReport report;
   std::optional<runtime::SweepDrive> drive;
   std::unique_ptr<obs::Session> session;
 
@@ -204,6 +201,12 @@ Server::Server(ServerOptions options)
             return v->validate(r).ok;
           });
   }
+  runtime_options_.straggler_timeout = options_.straggler_timeout;
+  runtime_options_.max_retries = options_.max_retries;
+  runtime_options_.retry_backoff_base = options_.retry_backoff_base;
+  runtime_options_.retry_backoff_max = options_.retry_backoff_max;
+  runtime_options_.retry_backoff_jitter = options_.retry_backoff_jitter;
+  runtime_options_.validator = validator_.get();
   leaders_.reserve(options_.n_leaders);
   for (std::size_t l = 0; l < options_.n_leaders; ++l)
     leaders_.emplace_back([this, l] { leader_main(l); });
@@ -283,14 +286,11 @@ RequestHandle Server::submit(SpectrumRequest request) {
       ctx->ladder.emplace(*bundle.primary, &bundle.chain, cache_.get());
   if (decision == AdmitDecision::kAdmitShed && ladder.n_levels() > 1) {
     ctx->shed = true;
-    ctx->shed_level =
-        std::min(options_.max_shed_levels, ladder.n_levels() - 1);
+    ctx->shed_level = 1;
     ++stats_.shed;
   }
-  const double budget = ctx->req.deadline_seconds > 0.0
-                            ? ctx->req.deadline_seconds
-                            : options_.default_deadline_seconds;
-  if (budget > 0.0) ctx->deadline_at = now + budget;
+  if (ctx->req.deadline_seconds > 0.0)
+    ctx->deadline_at = now + ctx->req.deadline_seconds;
   ctx->session = std::make_unique<obs::Session>();
   ++stats_.admitted;
   active_.push_back(ctx);
@@ -319,37 +319,26 @@ void Server::ensure_started(const CtxPtr& ctx) {
       return;  // cancelled while queued: never start the sweep
     RequestCtx& c = *ctx;
     try {
-      c.fragmentation =
-          part::fragment_system(c.req.system, c.req.fragmentation);
-      const std::size_t n = c.fragmentation.fragments.size();
-      QFR_REQUIRE(n > 0, "request produced no fragments");
-      std::vector<balance::WorkItem> items;
-      items.reserve(n);
-      const balance::CostModel cost;
-      for (const frag::Fragment& f : c.fragmentation.fragments)
-        items.push_back({f.id, f.n_atoms(), cost.evaluate(f.n_atoms())});
-      runtime::SweepOptions sopts;
-      sopts.straggler_timeout = options_.straggler_timeout;
-      sopts.max_retries = options_.max_retries;
-      sopts.n_engine_levels = c.ladder->n_levels();
-      sopts.initial_engine_level = c.shed_level;
-      sopts.validator = validator_.get();
-      sopts.retry_backoff_base = options_.retry_backoff_base;
-      sopts.retry_backoff_max = options_.retry_backoff_max;
-      sopts.retry_backoff_jitter = options_.retry_backoff_jitter;
-      c.scheduler = std::make_unique<runtime::SweepScheduler>(
-          std::move(items), balance::make_size_sensitive_policy(),
-          std::move(sopts));
-      c.report.results.resize(n);
-      c.report.fragment_seconds.assign(n, 0.0);
+      // The workflow's own steps; only the sweep is driven differently,
+      // by the shared pool instead of a MasterRuntime transport.
+      c.run.engine = c.ladder->name(0);
+      c.run.fragmentation = qframan::decompose(
+          c.req.system, c.req.fragmentation, c.session.get());
+      const std::span<const frag::Fragment> fragments =
+          c.run.fragmentation.fragments;
+      QFR_REQUIRE(!fragments.empty(), "request produced no fragments");
+      c.runtime_options = runtime_options_;
       c.runtime_options.cancel_token = c.cancel.token();
+      c.scheduler = runtime::start_sweep(c.runtime_options, fragments,
+                                         c.ladder->n_levels(), c.shed_level,
+                                         c.run.sweep);
       c.drive.emplace(runtime::SweepDrive{
           .options = c.runtime_options,
-          .fragments = c.fragmentation.fragments,
+          .fragments = fragments,
           .scheduler = *c.scheduler,
           .obs = c.session.get(),
           .ladder = &*c.ladder,
-          .report = &c.report,
+          .report = &c.run.sweep,
           .n_cancelled = &c.n_compute_cancelled});
       c.started_at = clock_.seconds();
       {
@@ -366,6 +355,9 @@ void Server::ensure_started(const CtxPtr& ctx) {
 }
 
 bool Server::process(std::size_t leader, const CtxPtr& ctx) {
+  // The request's session is ambient from acquire on, so the scheduler
+  // counts the dispatch (sched.dispatched_fragments) as a runtime leader's.
+  obs::ScopedSession ambient(ctx->session.get());
   runtime::SweepScheduler& sched = *ctx->scheduler;
   runtime::LeasedTask task = sched.acquire(0, clock_.seconds());
   if (task.empty()) return false;
@@ -492,8 +484,6 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
       (started ? c.started_at : rep.finished_at) - c.submitted_at;
   rep.run_seconds = started ? rep.finished_at - c.started_at : 0.0;
   rep.total_seconds = rep.finished_at - c.submitted_at;
-  rep.n_compute_cancelled =
-      c.n_compute_cancelled.load(std::memory_order_relaxed);
 
   RequestState st;
   std::string err;
@@ -509,74 +499,42 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
     st = RequestState::kCompleted;  // provisional; solve may still fail
   }
 
-  double solver_seconds = 0.0;
   if (started) {
-    const runtime::SweepScheduler& sched = *c.scheduler;
-    // Per-request sweep report, filled from the request's scheduler like
-    // any runtime sweep; the results were delivered into it by the pool.
-    runtime::RunReport& rr = c.report;
-    runtime::record_sweep(sched, rr);
-    rr.n_cancelled = rep.n_compute_cancelled;
-    rr.makespan_seconds = rep.run_seconds;
-    rep.fragmentation_policy = c.fragmentation.stats.policy;
-    rep.n_cut_bonds = c.fragmentation.stats.n_cut_bonds;
-    rep.balance_factor = c.fragmentation.stats.balance_factor;
-    rep.n_fragments = sched.n_fragments();
-    rep.n_tasks = rr.n_tasks;
-    rep.n_requeued = rr.n_requeued;
-    rep.n_retries = rr.n_retries;
-    rep.n_fault_retries = rr.n_fault_retries;
-    rep.n_reject_retries = rr.n_reject_retries;
-    rep.n_rejected = rr.n_rejected;
-    rep.n_degraded = sched.n_degraded();
-    rep.n_failed = sched.n_failed();
-    rep.n_cache_hits = rr.n_cache_hits();
-    rep.outcomes = rr.outcomes;
+    // The request's sweep report is finished and summarized exactly as a
+    // MasterRuntime sweep is; the pool delivered its results into it.
+    qframan::PipelineRun& run = c.run;
+    run.engine_seconds = rep.run_seconds;
+    runtime::finish_sweep(*c.scheduler,
+                          c.n_compute_cancelled.load(std::memory_order_relaxed),
+                          rep.run_seconds, c.session.get(), run.sweep);
+    static_cast<qframan::SweepSummary&>(rep) =
+        qframan::summarize_sweep(run.sweep);
 
     if (st == RequestState::kCompleted && rep.n_failed > 0) {
       st = RequestState::kFailed;
       std::ostringstream os;
       os << rep.n_failed << " of " << rep.n_fragments
          << " fragments failed permanently; first: "
-         << runtime::first_failure(rr.outcomes);
+         << runtime::first_failure(rep.outcomes);
       err = os.str();
     }
     if (st == RequestState::kCompleted) {
       try {
-        obs::ScopedSession ambient(c.session.get());
-        frag::GlobalProperties props;
-        {
-          obs::SpanGuard span(c.session.get(), "serve.assembly", "serve");
-          props = frag::assemble_global_properties(
-              c.req.system, c.fragmentation.fragments, rr.results,
-              frag::AssemblyOptions{});
-        }
-        const la::Vector axis = spectra::wavenumber_axis(
-            c.req.omega_min_cm, c.req.omega_max_cm, c.req.omega_points);
-        WallTimer solve_timer;
-        obs::SpanGuard span(c.session.get(), "serve.solve", "serve");
-        qframan::SolvedSpectra solved = qframan::solve_spectra(
-            props, axis, c.req.sigma_cm, c.req.solver, c.req.lanczos_steps,
-            /*compute_ir=*/false);
-        out.spectrum = std::move(solved.raman);
-        out.used_lanczos = solved.used_lanczos;
-        solver_seconds = solve_timer.seconds();
+        qframan::assemble_and_solve(
+            run, c.req.system, {},
+            spectra::wavenumber_axis(c.req.omega_min_cm, c.req.omega_max_cm,
+                                     c.req.omega_points),
+            c.req.sigma_cm, c.req.solver, c.req.lanczos_steps,
+            /*compute_ir=*/false, c.session.get());
+        out.spectrum = std::move(run.spectra.raman);
+        out.used_lanczos = run.spectra.used_lanczos;
       } catch (const std::exception& e) {
         st = RequestState::kFailed;
         err = std::string("assembly/solve failed: ") + e.what();
       }
     }
-
-    obs::RunContext rctx;
-    rctx.engine = rep.engine;
-    rctx.n_fragments = rep.n_fragments;
-    rctx.engine_seconds = rep.run_seconds;
-    rctx.solver_seconds = solver_seconds;
-    rctx.fragmentation_policy = rep.fragmentation_policy;
-    rctx.n_cut_bonds = rep.n_cut_bonds;
-    rctx.balance_factor = rep.balance_factor;
     rep.run_report_json =
-        obs::build_run_report(*c.session, &rr, rctx).dump();
+        obs::build_run_report(*c.session, &run.sweep, run.context()).dump();
   }
 
   out.state = st;

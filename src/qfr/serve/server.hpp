@@ -60,7 +60,7 @@ struct SpectrumRequest {
   int priority = 0;
   /// Wall-clock budget from admission to completion; past it the request
   /// is cancelled (in-flight SCF/CPSCF included) and reported
-  /// kDeadlineExpired. 0 = ServerOptions::default_deadline_seconds.
+  /// kDeadlineExpired. 0 = none.
   double deadline_seconds = 0.0;
   frag::BioSystem system;
   frag::FragmentationOptions fragmentation;
@@ -73,8 +73,10 @@ struct SpectrumRequest {
   int lanczos_steps = 150;
 };
 
-/// Per-request provenance and diagnostics (the serve-side SweepSummary).
-struct RequestReport {
+/// Per-request provenance and diagnostics: the request's envelope and
+/// timeline on top of the sweep summary every entry point reports
+/// (qframan::summarize_sweep; zero for a request that never started).
+struct RequestReport : qframan::SweepSummary {
   std::size_t id = 0;
   std::string tenant;
   int priority = 0;
@@ -92,28 +94,10 @@ struct RequestReport {
   double queue_seconds = 0.0;
   double run_seconds = 0.0;
   double total_seconds = 0.0;
-  // Sweep counters (see qframan::SweepSummary for semantics).
-  std::size_t n_fragments = 0;
-  std::size_t n_tasks = 0;
-  std::size_t n_requeued = 0;
-  std::size_t n_retries = 0;
-  std::size_t n_fault_retries = 0;
-  std::size_t n_reject_retries = 0;
-  std::size_t n_rejected = 0;
-  std::size_t n_degraded = 0;
-  std::size_t n_failed = 0;
-  std::size_t n_cache_hits = 0;
-  std::size_t n_compute_cancelled = 0;  ///< in-flight computes stopped
-  // Partition provenance (which fragmentation policy decomposed the
-  // system, and how). Empty policy = request never fragmented.
-  std::string fragmentation_policy;
-  std::size_t n_cut_bonds = 0;
-  double balance_factor = 0.0;
   /// Structured per-request run report (schema qfr.run_report.v1) built
-  /// from the request's private obs::Session. Empty for rejected or
-  /// never-started requests.
+  /// from the request's private obs::Session, partition provenance
+  /// included. Empty for rejected or never-started requests.
   std::string run_report_json;
-  std::vector<runtime::FragmentOutcome> outcomes;
 };
 
 /// Terminal result of one request.
@@ -178,8 +162,6 @@ struct ServerOptions {
   /// multiplexing rides on).
   std::size_t n_leaders = 2;
   AdmissionOptions admission;
-  /// Deadline applied when a request does not carry one; 0 = none.
-  double default_deadline_seconds = 0.0;
   // Per-request sweep fault tolerance (see runtime::RuntimeOptions).
   double straggler_timeout = 600.0;
   std::size_t max_retries = 2;
@@ -187,11 +169,9 @@ struct ServerOptions {
   double retry_backoff_max = 30.0;
   double retry_backoff_jitter = 0.5;
   /// Build the qframan fallback chain under each primary engine; it backs
-  /// both per-fragment degradation and overload shedding.
+  /// both per-fragment degradation and overload shedding (a shed request
+  /// starts one level down the chain).
   bool enable_fallback = true;
-  /// How many chain levels down a shed request starts (clamped to the
-  /// chain length).
-  std::size_t max_shed_levels = 1;
   bool batched_gemm = true;
   /// Validate every delivered result before acceptance (and gate cache
   /// inserts with the same validator).
@@ -296,6 +276,9 @@ class Server {
   WallTimer clock_;
   std::unique_ptr<cache::ResultCache> cache_;
   std::unique_ptr<fault::FragmentResultValidator> validator_;
+  /// The sweep settings of every request; a request's copy adds only its
+  /// cancel token.
+  runtime::RuntimeOptions runtime_options_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;

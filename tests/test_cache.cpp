@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "qfr/cache/caching_engine.hpp"
 #include "qfr/cache/canonical.hpp"
 #include "qfr/cache/store.hpp"
 #include "qfr/chem/molecule.hpp"
@@ -658,28 +657,6 @@ TEST(PersistentStore, CompactRewritesExactlyTheLiveEntries) {
   ResultCache reloaded(disk_opts(f.path));
   EXPECT_EQ(reloaded.stats().store_loaded, 3);
   EXPECT_EQ(reloaded.stats().store_corrupt, 0);
-}
-
-// ---------------------------------------------------------------------
-// CachingEngine decorator.
-// ---------------------------------------------------------------------
-
-TEST(CachingEngineTest, DecoratorDeduplicatesAndStaysTransparent) {
-  ResultCache cache(mem_opts());
-  const engine::ModelEngine inner;
-  const CachingEngine cached(inner, cache);
-  EXPECT_EQ(cached.name(), inner.name());
-
-  const Molecule a = chem::make_water({0, 0, 0}, 0.1);
-  Rng rng(17);
-  const Molecule b = rigid_image(a, random_rotation(rng), {8, -3, 2},
-                                 random_permutation(a.size(), rng));
-  const FragmentResult ra = cached.compute(a);
-  const FragmentResult rb = cached.compute(7, b);
-  EXPECT_FALSE(ra.cache_hit);
-  EXPECT_TRUE(rb.cache_hit);
-  EXPECT_NEAR(rb.energy, ra.energy, 1e-12);
-  EXPECT_EQ(cache.stats().hits, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -73,7 +73,6 @@ TEST_P(DfptVsFiniteField, WaterPolarizabilityColumnMatches) {
   QmState s = converge(w, xc);
   ResponseEngine engine(s.ctx, s.scf_res, xc);
   const ResponseResult r = engine.solve(s.ctx->dip[d]);
-  ASSERT_TRUE(r.converged);
 
   const la::Vector ff = finite_field_alpha_column(w, xc, d);
   for (int cidx = 0; cidx < 3; ++cidx) {
@@ -93,7 +92,6 @@ TEST(Dfpt, PolarizabilityTensorSymmetricAndPositive) {
   QmState s = converge(w, scf::XcModel::kHartreeFock);
   ResponseEngine engine(s.ctx, s.scf_res);
   const PolarizabilityResult res = engine.polarizability();
-  ASSERT_TRUE(res.converged);
   EXPECT_LT(la::max_abs_diff(res.alpha, res.alpha.transposed()), 1e-5);
   for (int c = 0; c < 3; ++c) EXPECT_GT(res.alpha(c, c), 0.0);
 }
@@ -165,8 +163,7 @@ TEST(Dfpt, EscalationHalvesMixingBeforeThrowing) {
   DfptOptions healthy;
   healthy.escalate_on_nonconvergence = false;
   ResponseEngine plain(s.ctx, s.scf_res, scf::XcModel::kHartreeFock, healthy);
-  const ResponseResult r = plain.solve(s.ctx->dip[0]);
-  EXPECT_TRUE(r.converged);
+  EXPECT_NO_THROW(plain.solve(s.ctx->dip[0]));
 }
 
 TEST(Dfpt, SplitValencePolarizabilityLargerAndFiniteFieldConsistent) {
@@ -228,7 +225,6 @@ TEST(Dfpt, BatchedAndEagerExecutionAgree) {
         ResponseEngine(s.ctx, s.scf_res, xc, eager).polarizability();
     const PolarizabilityResult a_batched =
         ResponseEngine(s.ctx, s.scf_res, xc, batched).polarizability();
-    EXPECT_TRUE(a_eager.converged && a_batched.converged);
     EXPECT_LT(la::max_abs_diff(a_eager.alpha, a_batched.alpha), 1e-10)
         << "xc=" << static_cast<int>(xc);
     // Each engine ran its P1 work on the executor it was handed.
@@ -247,7 +243,6 @@ TEST(Dfpt, PhaseSumTracksSolveHistogramWithTracingOn) {
   QmState s = converge(w, scf::XcModel::kLda);
   ResponseEngine engine(s.ctx, s.scf_res, scf::XcModel::kLda);
   const PolarizabilityResult res = engine.polarizability();
-  EXPECT_TRUE(res.converged);
 
   const obs::MetricsSnapshot snap = session.metrics().snapshot();
   auto hist_sum = [&](const std::string& name) {
@@ -282,12 +277,10 @@ TEST(Dfpt, PolarizabilityColumnsAreIndependentSolvesBitwise) {
     QmState s = converge(w, xc);
     const PolarizabilityResult pol =
         ResponseEngine(s.ctx, s.scf_res, xc).polarizability();
-    ASSERT_TRUE(pol.converged);
     int iterations = 0;
     for (int d = 0; d < 3; ++d) {
       ResponseEngine single(s.ctx, s.scf_res, xc);
       const ResponseResult r = single.solve(s.ctx->dip[d]);
-      EXPECT_TRUE(r.converged);
       iterations += r.iterations;
       for (int cidx = 0; cidx < 3; ++cidx) {
         const double ref = -la::trace_product(r.p1, s.ctx->dip[cidx]);

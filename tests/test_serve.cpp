@@ -8,6 +8,8 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -121,6 +123,19 @@ double histogram_count(const obs::Json& report, std::string_view name) {
   return h != nullptr ? h->find("count")->as_double() : -1.0;
 }
 
+/// Metric names of one kind ("counters", "gauges", "histograms") in a
+/// run report's registry dump.
+std::vector<std::string> metric_names(const obs::Json& report,
+                                      std::string_view kind) {
+  std::vector<std::string> names;
+  const obs::Json* metrics = report.find("metrics");
+  const obs::Json* group = metrics != nullptr ? metrics->find(kind) : nullptr;
+  EXPECT_NE(group, nullptr) << kind;
+  if (group != nullptr)
+    for (const auto& [name, value] : group->members()) names.push_back(name);
+  return names;
+}
+
 /// The same spectrum request through a solo RamanWorkflow and through the
 /// serving path (shared pool, per-request scheduler, no cache): the
 /// spectra must be bitwise identical and the two run reports must agree.
@@ -190,11 +205,30 @@ void expect_serve_matches_workflow(const frag::BioSystem& system,
   }
   EXPECT_EQ(report_value(served, "run", "n_fragments"),
             report_value(workflow, "run", "n_fragments"));
-  for (const char* key : {"n_failed", "n_degraded", "n_cache_hits"})
-    EXPECT_EQ(report_value(served, "scheduler", key),
-              report_value(workflow, "scheduler", key))
-        << key;
   EXPECT_EQ(report_value(served, "scheduler", "n_failed"), 0.0);
+
+  // One pipeline behind both entry points: the same metric names, the
+  // same sweep accounting (wall time aside) and the same partition
+  // provenance.
+  for (const char* kind : {"counters", "gauges", "histograms"})
+    EXPECT_EQ(metric_names(served, kind), metric_names(workflow, kind))
+        << kind;
+  const obs::Json* served_sched = served.find("scheduler");
+  const obs::Json* workflow_sched = workflow.find("scheduler");
+  ASSERT_NE(served_sched, nullptr);
+  ASSERT_NE(workflow_sched, nullptr);
+  EXPECT_EQ(served_sched->size(), workflow_sched->size());
+  for (const auto& [key, value] : workflow_sched->members()) {
+    if (key == "makespan_seconds") continue;
+    const obs::Json* v = served_sched->find(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_EQ(v->dump(), value.dump()) << key;
+  }
+  const obs::Json* served_frag = served.find("fragmentation");
+  const obs::Json* workflow_frag = workflow.find("fragmentation");
+  ASSERT_NE(served_frag, nullptr);
+  ASSERT_NE(workflow_frag, nullptr);
+  EXPECT_EQ(served_frag->dump(), workflow_frag->dump());
 }
 
 TEST(Serve, CompletesAndMatchesSoloWorkflowBitwise) {
@@ -313,7 +347,15 @@ TEST(Serve, ShedsLowPriorityUnderSoftOverloadWithProvenance) {
   sopts.admission.quotas_enabled = false;
   sopts.enable_fallback = true;  // model chain: level 1 = model surrogate
   Server server(sopts);
-  RequestHandle first = server.submit(water_request(10));
+  // `first` holds the server one request deep while low and high are
+  // submitted: two waters through the ab initio HF engine are seconds of
+  // work for the single leader, far beyond the submit window even on a
+  // loaded machine, and it is cancelled once both are admitted (the SCF
+  // iterations stop on the request token) instead of being computed to
+  // completion.
+  SpectrumRequest first_req = water_request(2);
+  first_req.engine = qframan::EngineKind::kScfHf;
+  RequestHandle first = server.submit(first_req);
   ASSERT_TRUE(first.admitted());
   // With one request pending, a low-priority submit is shed while a
   // high-priority one keeps the primary engine.
@@ -323,10 +365,11 @@ TEST(Serve, ShedsLowPriorityUnderSoftOverloadWithProvenance) {
   RequestHandle high = server.submit(high_req);
   ASSERT_TRUE(low.admitted());
   ASSERT_TRUE(high.admitted());
+  first.cancel();
 
   const RequestOutcome& low_out = low.wait();
   const RequestOutcome& high_out = high.wait();
-  first.wait();
+  EXPECT_EQ(first.wait().state, RequestState::kCancelled);
   ASSERT_EQ(low_out.state, RequestState::kCompleted) << low_out.error;
   ASSERT_EQ(high_out.state, RequestState::kCompleted) << high_out.error;
   EXPECT_TRUE(low_out.report.shed);
@@ -475,8 +518,16 @@ TEST(Serve, PriorityAndFairShareOrderTheBacklog) {
   sopts.admission.quotas_enabled = false;
   sopts.admission.max_pending = 32;
   Server server(sopts);
-  // Build a backlog behind one medium request, then submit competing
-  // low-priority and (last) one high-priority request.
+  // Build a backlog of low-priority requests, then submit (last) one
+  // high-priority request. A blocker first in line (two waters through
+  // the ab initio HF engine, seconds of work) keeps the single leader off
+  // the backlog while it is submitted, so no low request can finish
+  // before the high one arrives; it is cancelled once the high one is
+  // admitted.
+  SpectrumRequest blocker_req = water_request(2);
+  blocker_req.engine = qframan::EngineKind::kScfHf;
+  blocker_req.tenant = "bulk";
+  RequestHandle blocker = server.submit(blocker_req);
   std::vector<RequestHandle> low;
   for (int i = 0; i < 4; ++i) {
     SpectrumRequest req = water_request(8);
@@ -488,6 +539,8 @@ TEST(Serve, PriorityAndFairShareOrderTheBacklog) {
   urgent.priority = 5;
   RequestHandle high = server.submit(urgent);
   ASSERT_TRUE(high.admitted());
+  blocker.cancel();
+  EXPECT_EQ(blocker.wait().state, RequestState::kCancelled);
   const RequestOutcome& high_out = high.wait();
   ASSERT_EQ(high_out.state, RequestState::kCompleted) << high_out.error;
   std::size_t lows_before_high = 0;

@@ -270,7 +270,7 @@ TEST(Workflow, DegradedFragmentReportedAndSpectrumStaysFinite) {
   const WorkflowResult res = wf.run(sys, faulty);
 
   EXPECT_EQ(res.sweep.n_degraded, 1u);
-  EXPECT_EQ(res.sweep.n_dropped, 0u);
+  EXPECT_EQ(res.sweep.n_failed, 0u);
   const runtime::FragmentOutcome& o = res.sweep.outcomes[1];
   EXPECT_TRUE(o.completed);
   EXPECT_EQ(o.engine_level, 1u);
@@ -300,7 +300,7 @@ TEST(Workflow, DroppedFragmentsNeedExplicitOptIn) {
   const engine::ModelEngine inner;
   const fault::FaultyEngine faulty(inner, injector);
   const WorkflowResult res = RamanWorkflow(opts).run(sys, faulty);
-  EXPECT_EQ(res.sweep.n_dropped, 1u);
+  EXPECT_EQ(res.sweep.n_failed, 1u);
   EXPECT_FALSE(res.sweep.outcomes[1].completed);
   for (const double v : res.spectrum.intensity) ASSERT_TRUE(std::isfinite(v));
 }
