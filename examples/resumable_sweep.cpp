@@ -1,7 +1,9 @@
 // Resumable sweep: demonstrate the fault-tolerant fragment sweep and its
 // incremental checkpoint. A flaky engine kills the first run partway
 // through; the second run resumes from the checkpoint and recomputes only
-// the missing fragments. A third, uninterrupted run checks that the resumed
+// the missing fragments. The first run's leaders are forked processes, so
+// every restored record crossed the leader wire before it reached the
+// checkpoint; the resume runs on leader threads. A third, uninterrupted run checks that the resumed
 // spectrum is bitwise identical and prints resume_identical=1 (or 0).
 //
 // Build & run:
@@ -23,7 +25,8 @@ namespace {
 
 // Wraps the classical model engine and dies after a fixed number of
 // fragments — a stand-in for a node loss partway through a production
-// sweep.
+// sweep. The count lives in the process, so a forked leader process
+// spends its own budget.
 class FlakyEngine final : public qfr::engine::FragmentEngine {
  public:
   explicit FlakyEngine(int budget) : budget_(budget) {}
@@ -65,18 +68,22 @@ int main() {
   std::printf("QF-RAMAN resumable sweep\n");
   std::printf("  checkpoint: %s\n\n", options.checkpoint_path.c_str());
 
-  // Run 1: the engine dies after 10 fragments. The workflow reports the
-  // failure, but every completed fragment is already on disk.
+  // Run 1: each leader process's engine dies after 5 fragments. The
+  // workflow reports the failure, but every completed fragment is already
+  // on disk.
   {
-    const FlakyEngine eng(/*budget=*/10);
+    qframan::WorkflowOptions process = options;
+    process.transport = runtime::TransportKind::kProcess;
+    const FlakyEngine eng(/*budget=*/5);
     try {
-      qframan::RamanWorkflow(options).run(system, eng);
+      qframan::RamanWorkflow(process).run(system, eng);
     } catch (const NumericalError& e) {
       std::printf("run 1: FAILED as injected (%s)\n", e.what());
     }
   }
 
-  // Run 2: resume. Only the missing fragments are recomputed.
+  // Run 2: resume on leader threads. Only the missing fragments are
+  // recomputed.
   options.resume = true;
   const FlakyEngine eng(/*budget=*/-1);
   const qframan::WorkflowResult result =

@@ -51,10 +51,11 @@
 # Stage 5 (cache smoke): the solvated-protein example with the result
 #   cache enabled must report a nonzero cache_hit_rate — the end-to-end
 #   proof that canonicalization recognizes the box's rigid water copies.
-# Stage 5b (resume smoke): the resumable_sweep example kills a sweep
-#   partway, resumes it from its checkpoint, and must print
-#   resume_identical=1 — the resumed spectrum bitwise equal to an
-#   uninterrupted run's.
+# Stage 5b (resume smoke): the resumable_sweep example kills a sweep on
+#   forked leader processes partway, resumes it from its checkpoint on
+#   leader threads, and must print resume_identical=1 — the resumed
+#   spectrum bitwise equal to an uninterrupted run's, for records that
+#   crossed the leader wire before they reached the checkpoint.
 # Stage 6 (scalar-fallback divergence): a -DQFR_NO_AVX2=ON build runs the
 #   kernels-labeled suites and dumps the fuzz corpus checksums; they must
 #   agree with the vectorized build's corpus within tolerance — the gate
@@ -269,8 +270,8 @@ fi
 # (ASan/UBSan).
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
-                  test_wire test_common test_integrals test_gradients
-                  test_dfpt)
+                  test_wire test_codec test_common test_integrals
+                  test_gradients test_dfpt)
 
 for SAN in address undefined thread; do
   case "$SAN" in

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "qfr/common/error.hpp"
-#include "qfr/common/record_log.hpp"
 #include "qfr/la/eig.hpp"
 #include "qfr/la/matrix.hpp"
 
@@ -331,44 +328,24 @@ engine::FragmentResult permute_result(const engine::FragmentResult& in,
 // ---------------------------------------------------------------------------
 // Persistent-store key serialization.
 
-namespace {
-
-constexpr std::uint64_t kMaxNsBytes = 1u << 12;
-constexpr std::uint64_t kMaxKeyAtoms = 1u << 20;
-
-using common::get_u64;
-using common::put_u64;
-
-}  // namespace
-
-void write_key(std::ostream& os, const FragmentKey& k) {
-  put_u64(os, static_cast<std::uint64_t>(k.ns.size()));
-  os.write(k.ns.data(), static_cast<std::streamsize>(k.ns.size()));
-  os.write(reinterpret_cast<const char*>(&k.tolerance), sizeof(double));
-  put_u64(os, static_cast<std::uint64_t>(k.z.size()));
-  os.write(reinterpret_cast<const char*>(k.z.data()),
-           static_cast<std::streamsize>(k.z.size() * sizeof(std::int32_t)));
-  os.write(reinterpret_cast<const char*>(k.q.data()),
-           static_cast<std::streamsize>(k.q.size() * sizeof(std::int64_t)));
-  put_u64(os, k.h0);
-  put_u64(os, k.h1);
+void write_key(common::ByteWriter& w, const FragmentKey& k) {
+  w.put_string(k.ns);
+  w.put_f64(k.tolerance);
+  w.put_u64(static_cast<std::uint64_t>(k.z.size()));
+  w.put_array(k.z);
+  w.put_array(k.q);
+  w.put_u64(k.h0);
+  w.put_u64(k.h1);
 }
 
-bool read_key(std::istream& is, FragmentKey* k) {
-  std::uint64_t ns_len = 0;
-  if (!get_u64(is, &ns_len) || ns_len > kMaxNsBytes) return false;
-  k->ns.resize(static_cast<std::size_t>(ns_len));
-  is.read(k->ns.data(), static_cast<std::streamsize>(ns_len));
-  is.read(reinterpret_cast<char*>(&k->tolerance), sizeof(double));
+bool read_key(common::ByteReader& in, FragmentKey* k) {
+  // Sanity bounds on top of the reader's bytes-left checks.
+  constexpr std::uint64_t kMaxNsBytes = 1u << 12, kMaxKeyAtoms = 1u << 20;
   std::uint64_t n = 0;
-  if (!is.good() || !get_u64(is, &n) || n > kMaxKeyAtoms) return false;
-  k->z.resize(static_cast<std::size_t>(n));
-  k->q.resize(static_cast<std::size_t>(3 * n));
-  is.read(reinterpret_cast<char*>(k->z.data()),
-          static_cast<std::streamsize>(k->z.size() * sizeof(std::int32_t)));
-  is.read(reinterpret_cast<char*>(k->q.data()),
-          static_cast<std::streamsize>(k->q.size() * sizeof(std::int64_t)));
-  return is.good() && get_u64(is, &k->h0) && get_u64(is, &k->h1);
+  return in.get_string(&k->ns) && k->ns.size() <= kMaxNsBytes &&
+         in.get_f64(&k->tolerance) && in.get_u64(&n) && n <= kMaxKeyAtoms &&
+         in.get_array(n, &k->z) && in.get_array(3 * n, &k->q) &&
+         in.get_u64(&k->h0) && in.get_u64(&k->h1);
 }
 
 }  // namespace qfr::cache

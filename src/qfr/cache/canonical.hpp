@@ -3,12 +3,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "qfr/chem/molecule.hpp"
+#include "qfr/common/byte_codec.hpp"
 #include "qfr/engine/fragment_engine.hpp"
 #include "qfr/geom/vec3.hpp"
 
@@ -103,8 +103,8 @@ engine::FragmentResult permute_result(const engine::FragmentResult& in,
 
 /// Persistent-store serialization of a key (framing and CRC are the
 /// store's job). read_key returns false on truncation or a size field
-/// beyond sanity bounds, without throwing.
-void write_key(std::ostream& os, const FragmentKey& k);
-bool read_key(std::istream& is, FragmentKey* k);
+/// beyond sanity bounds or the bytes left, without throwing.
+void write_key(common::ByteWriter& w, const FragmentKey& k);
+bool read_key(common::ByteReader& in, FragmentKey* k);
 
 }  // namespace qfr::cache

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -49,12 +48,13 @@ bool all_finite(const la::Matrix& m) {
   return true;
 }
 
-std::string entry_body(const FragmentKey& key,
-                       const engine::FragmentResult& canonical) {
-  std::ostringstream os(std::ios::binary);
-  write_key(os, key);
-  frag::write_result_record(os, canonical);
-  return std::move(os).str();
+/// Append one store frame: a CRC-framed [key][result record] body.
+void put_entry_frame(common::ByteWriter& w, const FragmentKey& key,
+                     const engine::FragmentResult& canonical) {
+  common::put_frame(w, [&](common::ByteWriter& body) {
+    write_key(body, key);
+    frag::write_result_record(body, canonical);
+  });
 }
 
 }  // namespace
@@ -512,10 +512,10 @@ void ResultCache::ensure_store_current_locked() {
     if (::fstat(store_fd_.get(), &fs) != 0 || fs.st_size != 0) return;
   }
   // Empty file: stamp the header (exclusive lock held by the caller).
-  std::ostringstream header(std::ios::binary);
-  common::write_log_header(header, kStoreFormat);
+  common::ByteWriter header;
+  common::put_log_header(header, kStoreFormat);
   QFR_REQUIRE(common::write_full(store_fd_.get(), header.view().data(),
-                                 header.view().size()),
+                                 header.size()),
               "result-cache store header write failed");
 }
 
@@ -559,11 +559,11 @@ bool ResultCache::scan_store_locked(bool strict_header) {
   const common::LogScan scan = common::scan_frames(
       is, scan_offset_,
       [&](common::FrameStatus status, std::string_view body) {
-        std::istringstream bs(std::string(body), std::ios::binary);
+        common::ByteReader in(body);
         FragmentKey key;
         engine::FragmentResult r;
-        if (status != common::FrameStatus::kOk || !read_key(bs, &key) ||
-            !frag::read_result_record(bs, &r)) {
+        if (status != common::FrameStatus::kOk || !read_key(in, &key) ||
+            !frag::read_result_record(in, &r)) {
           count(store_corrupt_, "qfr.cache.store_corrupt");
           damaged = true;  // framing intact, content damaged: skip one record
           return;
@@ -636,9 +636,8 @@ void ResultCache::reopen_after_fork() {
 void ResultCache::append_to_store(const FragmentKey& key,
                                   const engine::FragmentResult& canonical) {
   if (opts_.store_path.empty()) return;
-  std::ostringstream os(std::ios::binary);
-  common::write_frame(os, entry_body(key, canonical));
-  const std::string frame = std::move(os).str();
+  common::ByteWriter frame;
+  put_entry_frame(frame, key, canonical);
 
   std::lock_guard<std::mutex> lk(store_mutex_);
   if (!store_fd_.valid()) return;
@@ -654,7 +653,8 @@ void ResultCache::append_to_store(const FragmentKey& key,
       scan_offset_ == static_cast<std::uint64_t>(st.st_size) &&
       scan_dev_ == static_cast<std::uint64_t>(st.st_dev) &&
       scan_ino_ == static_cast<std::uint64_t>(st.st_ino);
-  if (!common::write_full(store_fd_.get(), frame.data(), frame.size())) {
+  if (!common::write_full(store_fd_.get(), frame.view().data(),
+                          frame.size())) {
     QFR_LOG_WARN("result-cache store append failed: ", std::strerror(errno));
     return;
   }
@@ -671,12 +671,15 @@ void ResultCache::write_store_file(const std::string& path) {
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     QFR_REQUIRE(os.good(), "cannot open '" << tmp << "' for writing");
-    common::write_log_header(os, kStoreFormat);
-    for (const auto& sh : shards_) {
+    common::ByteWriter w;
+    common::put_log_header(w, kStoreFormat);
+    for (const auto& sh : shards_) {  // at least one: the header goes out
       std::lock_guard<std::mutex> lk(sh->m);
       // Oldest first, so a budget-limited reload keeps the recent end.
       for (auto it = sh->lru.rbegin(); it != sh->lru.rend(); ++it)
-        common::write_frame(os, entry_body(it->key, *it->value));
+        put_entry_frame(w, it->key, *it->value);
+      os.write(w.view().data(), static_cast<std::streamsize>(w.size()));
+      w.clear();  // one shard buffered at a time
     }
     os.flush();
     QFR_REQUIRE(os.good(), "result-cache store write to '" << tmp

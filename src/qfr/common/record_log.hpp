@@ -5,6 +5,9 @@
 #include <iosfwd>
 #include <string_view>
 
+#include "qfr/common/byte_codec.hpp"
+#include "qfr/common/crc32.hpp"
+
 namespace qfr::common {
 
 /// Append-only CRC record log: the one on-disk layout shared by the
@@ -17,7 +20,7 @@ namespace qfr::common {
 /// including the id or key its owner puts at the front of the body — is
 /// detected; the length makes a damaged frame skippable. A frame written
 /// whole and then cut short (a run killed mid-write) is "torn" and ends
-/// the scan. Integers are host-endian.
+/// the scan. Fields are laid out by common::ByteWriter (host-endian).
 inline constexpr std::uint64_t kLogHeaderBytes = 16;
 inline constexpr std::uint64_t kFramePrefixBytes = 8;  ///< body_len
 inline constexpr std::uint64_t kFrameSuffixBytes = 8;  ///< crc32(body)
@@ -30,20 +33,21 @@ struct LogFormat {
   const char* name = "";
 };
 
-/// Raw host-endian u64 stream helpers. get_u64 returns false (without
-/// throwing) when the stream ends first.
-void put_u64(std::ostream& os, std::uint64_t v);
-bool get_u64(std::istream& is, std::uint64_t* v);
-
-void write_log_header(std::ostream& os, const LogFormat& format);
+void put_log_header(ByteWriter& w, const LogFormat& format);
 
 /// Read and check a log header. Throws InvalidArgument naming the file
 /// kind when the magic is wrong or the header is cut short, and naming
 /// the found and expected versions when the version differs.
 void read_log_header(std::istream& is, const LogFormat& format);
 
-/// Write one frame around `body`.
-void write_frame(std::ostream& os, std::string_view body);
+/// Append one frame to `w`, its body written in place by body(w).
+template <class Body>
+void put_frame(ByteWriter& w, Body&& body) {
+  const std::size_t at = w.size() + kFramePrefixBytes;
+  w.put_prefixed(body);
+  const std::string_view written = w.view().substr(at);
+  w.put_u64(crc32(written.data(), written.size()));
+}
 
 enum class FrameStatus {
   kOk,       ///< CRC verified

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "qfr/common/byte_codec.hpp"
 #include "qfr/engine/fragment_engine.hpp"
 #include "qfr/runtime/result_sink.hpp"
 
@@ -28,10 +29,11 @@ namespace qfr::frag {
 /// qfr::cache persistent store and the leader wire protocol: energy, the
 /// four tensors, flop/task counters, and a completion sentinel.
 /// read_result_record returns false on a truncated or sentinel-less
-/// stream without throwing, so framed readers can treat a bad payload as
-/// one skippable record.
-void write_result_record(std::ostream& os, const engine::FragmentResult& r);
-bool read_result_record(std::istream& is, engine::FragmentResult* r);
+/// record, or sizes beyond the bytes left, without throwing, so framed
+/// readers can treat a bad payload as one skippable record.
+void write_result_record(common::ByteWriter& w,
+                         const engine::FragmentResult& r);
+bool read_result_record(common::ByteReader& in, engine::FragmentResult* r);
 
 /// Incremental checkpoint writer: records are appended and flushed one at
 /// a time as fragments complete. Not thread safe — the runtime serializes
@@ -48,8 +50,12 @@ class CheckpointWriter {
   std::size_t n_written() const { return n_; }
 
  private:
+  /// Write and flush out_, then empty it for the next record.
+  void write_out(const char* what);
+
   std::ofstream file_;
   std::ostream* os_ = nullptr;
+  common::ByteWriter out_;  ///< bytes in flight, reused across appends
   std::size_t n_ = 0;
 };
 

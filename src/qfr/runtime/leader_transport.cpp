@@ -77,6 +77,7 @@ void execute_leased(SweepDrive& drive, std::size_t leader,
                     std::span<const common::CancelToken> tokens,
                     ThreadPool& pool) {
   obs::ScopedSession scope(drive.obs);
+  WallTimer busy;
   std::vector<Attempt> attempts(task.size());
   std::vector<std::size_t> levels(task.size(), 0);
   pool.parallel_for(task.size(), [&](std::size_t k) {
@@ -114,6 +115,12 @@ void execute_leased(SweepDrive& drive, std::size_t leader,
     if (drive.supervisor != nullptr)
       drive.supervisor->release_attempt(leader, lease);
   }
+  // Only slot `leader` writes here; a join or serve's inflight fence
+  // orders it before the report is read.
+  LeaderStats& stats = drive.report->leaders[leader];
+  stats.busy_seconds += busy.seconds();
+  stats.tasks++;
+  stats.fragments += task.size();
 }
 
 namespace detail {

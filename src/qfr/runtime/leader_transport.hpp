@@ -157,9 +157,10 @@ Attempt run_attempt(const common::CancelToken& token,
 /// attempt token linked with the run's cancel token; then, in lease order,
 /// deliver accepted results (deliver_result), report failures to the
 /// scheduler, count cancels, and release each attempt from the
-/// supervisor. `tokens` holds one attempt token per lease, or is empty
-/// when nothing but the run can cancel an attempt. A fragment's failure
-/// never escapes as an exception.
+/// supervisor; then book the task into the report's leaders[leader].
+/// `tokens` holds one attempt token per lease, or is empty when nothing
+/// but the run can cancel an attempt. A fragment's failure never escapes
+/// as an exception.
 void execute_leased(SweepDrive& drive, std::size_t leader,
                     const LeasedTask& task,
                     std::span<const common::CancelToken> tokens,

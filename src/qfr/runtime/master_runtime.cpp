@@ -88,6 +88,7 @@ std::unique_ptr<SweepScheduler> start_sweep(
   sopts.retry_backoff_jitter = options.retry_backoff_jitter;
   report.results.resize(fragments.size());
   report.fragment_seconds.assign(fragments.size(), 0.0);
+  report.leaders.resize(options.n_leaders);
   return std::make_unique<SweepScheduler>(std::move(items), std::move(policy),
                                           std::move(sopts));
 }
@@ -158,7 +159,6 @@ RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
 RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
                                   const EngineLadder& ladder) const {
   RunReport report;
-  report.leaders.resize(options_.n_leaders);
   obs::Session* const obs = options_.obs;
 
   // Master side: one scheduler instance shared by all leaders.

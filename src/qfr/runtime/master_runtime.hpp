@@ -178,7 +178,8 @@ struct RunReport {
 /// scheduler with its straggler, retry, backoff, validator and resume
 /// settings, `n_engine_levels` ladder levels and every fragment starting
 /// on `initial_engine_level`. Sizes `report`'s results and
-/// fragment_seconds slots by fragment id.
+/// fragment_seconds slots by fragment id and its leaders slots by
+/// `options.n_leaders`.
 std::unique_ptr<SweepScheduler> start_sweep(
     const RuntimeOptions& options, std::span<const frag::Fragment> fragments,
     std::size_t n_engine_levels, std::size_t initial_engine_level,

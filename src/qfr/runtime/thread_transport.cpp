@@ -5,7 +5,6 @@
 
 #include "qfr/common/cancel.hpp"
 #include "qfr/common/thread_pool.hpp"
-#include "qfr/common/timer.hpp"
 #include "qfr/fault/fault_injector.hpp"
 #include "qfr/obs/session.hpp"
 #include "qfr/runtime/leader_transport.hpp"
@@ -31,14 +30,11 @@ void leader_main(SweepDrive& drive, std::size_t l) {
   Supervisor* const supervisor = drive.supervisor;
   const bool supervised = supervisor != nullptr;
   obs::Session* const obs = drive.obs;
-  RunReport& report = *drive.report;
 
   // Leader threads are created fresh per incarnation and never inherit
   // thread-locals: install the ambient session here so everything the
   // leader calls directly records into it.
   obs::ScopedSession obs_scope(obs);
-  WallTimer busy;
-  double busy_acc = 0.0;
   // Each leader owns a private worker pool (paper: statically assigned
   // worker processes per leader). The leader thread computes too, so the
   // pool adds workers_per_leader - 1 helpers; fragments of a task and the
@@ -86,7 +82,6 @@ void leader_main(SweepDrive& drive, std::size_t l) {
         if (fl.kind == fault::FaultKind::kLeaderKill) {
           // Die holding the leases: the supervisor revokes them, re-queues
           // the fragments, and respawns this slot.
-          report.leaders[l].busy_seconds += busy_acc;
           supervisor->leader_exited(l);
           return;
         }
@@ -107,7 +102,6 @@ void leader_main(SweepDrive& drive, std::size_t l) {
       next = fetch();
       have_next = true;
     }
-    busy.reset();
     {
       obs::SpanGuard task_span(obs, "leader.task", "runtime");
       task_span.arg("leader", static_cast<double>(l))
@@ -117,12 +111,8 @@ void leader_main(SweepDrive& drive, std::size_t l) {
       // lease are fenced out.
       execute_leased(drive, l, current.task, current.tokens, workers);
     }
-    busy_acc += busy.seconds();
-    report.leaders[l].tasks++;
-    report.leaders[l].fragments += current.task.size();
     if (supervised) supervisor->beat(l);
   }
-  report.leaders[l].busy_seconds += busy_acc;
   if (supervised) supervisor->leader_retired(l);
 }
 

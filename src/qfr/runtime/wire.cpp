@@ -1,8 +1,6 @@
 #include "qfr/runtime/wire.hpp"
 
-#include <cstring>
-#include <sstream>
-
+#include "qfr/common/byte_codec.hpp"
 #include "qfr/common/crc32.hpp"
 #include "qfr/frag/checkpoint.hpp"
 
@@ -10,59 +8,8 @@ namespace qfr::runtime::wire {
 
 namespace {
 
-// Bounded little-endian readers over a payload view. Every decode_*
-// routine goes through these, so a truncated or hostile payload can only
-// produce a clean `false`, never an out-of-bounds read.
-struct Cursor {
-  const char* p;
-  std::size_t n;
-
-  bool get_u32(std::uint32_t* v) {
-    if (n < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    n -= sizeof(*v);
-    return true;
-  }
-  bool get_u64(std::uint64_t* v) {
-    if (n < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    n -= sizeof(*v);
-    return true;
-  }
-  bool get_f64(double* v) {
-    if (n < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    n -= sizeof(*v);
-    return true;
-  }
-  /// Length-prefixed string; the length must fit in the remaining bytes.
-  bool get_string(std::string* s) {
-    std::uint64_t len = 0;
-    if (!get_u64(&len) || len > n) return false;
-    s->assign(p, static_cast<std::size_t>(len));
-    p += len;
-    n -= static_cast<std::size_t>(len);
-    return true;
-  }
-  bool at_end() const { return n == 0; }
-};
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_f64(std::string& out, double v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_string(std::string& out, std::string_view s) {
-  put_u64(out, s.size());
-  out.append(s.data(), s.size());
-}
+using common::ByteReader;
+using common::ByteWriter;
 
 bool known_type(std::uint32_t t) {
   return t >= static_cast<std::uint32_t>(MsgType::kHello) &&
@@ -89,19 +36,17 @@ const char* to_string(DecodeStatus status) {
 
 std::string encode_frame_versioned(std::uint32_t version, MsgType type,
                                    std::string_view payload) {
-  std::string covered;  // version + type + len + payload (what the CRC signs)
-  covered.reserve(payload.size() + kHeaderBytes);
-  put_u32(covered, version);
-  put_u32(covered, static_cast<std::uint32_t>(type));
-  put_u64(covered, payload.size());
-  covered.append(payload.data(), payload.size());
-
-  std::string out;
-  out.reserve(covered.size() + sizeof(std::uint32_t) * 2);
-  put_u32(out, kMagic);
-  out.append(covered);
-  put_u32(out, common::crc32(covered.data(), covered.size()));
-  return out;
+  ByteWriter w;
+  w.reserve(kHeaderBytes + payload.size() + sizeof(std::uint32_t));
+  w.put_u32(kMagic);
+  w.put_u32(version);
+  w.put_u32(static_cast<std::uint32_t>(type));
+  w.put_u64(payload.size());
+  w.put_bytes(payload.data(), payload.size());
+  // The CRC signs version + type + len + payload: everything but the magic.
+  const std::string_view covered = w.view().substr(sizeof(std::uint32_t));
+  w.put_u32(common::crc32(covered.data(), covered.size()));
+  return std::move(w).take();
 }
 
 std::string encode_frame(MsgType type, std::string_view payload) {
@@ -109,35 +54,31 @@ std::string encode_frame(MsgType type, std::string_view payload) {
 }
 
 DecodeStatus FrameReader::next(Frame* out) {
-  if (buf_.size() < kHeaderBytes) return DecodeStatus::kNeedMore;
-  Cursor c{buf_.data(), buf_.size()};
+  ByteReader c(buf_);
   std::uint32_t magic = 0, version = 0, type = 0;
   std::uint64_t len = 0;
-  c.get_u32(&magic);
-  c.get_u32(&version);
-  c.get_u32(&type);
-  c.get_u64(&len);
+  if (!c.get_u32(&magic) || !c.get_u32(&version) || !c.get_u32(&type) ||
+      !c.get_u64(&len))
+    return DecodeStatus::kNeedMore;  // not a whole header yet
   if (magic != kMagic) return DecodeStatus::kBadMagic;
   // Reject a hostile length before buffering gigabytes for it.
   if (len > kMaxPayloadBytes) return DecodeStatus::kOversized;
   if (version != kVersion) return DecodeStatus::kBadVersion;
   if (!known_type(type)) return DecodeStatus::kBadType;
-  const std::size_t total =
-      kHeaderBytes + static_cast<std::size_t>(len) + sizeof(std::uint32_t);
+  const std::size_t total = kHeaderBytes + len + sizeof(std::uint32_t);
   if (buf_.size() < total) return DecodeStatus::kNeedMore;
 
+  const std::string_view frame(buf_.data(), total);
   std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf_.data() + total - sizeof(std::uint32_t),
-              sizeof(stored_crc));
+  ByteReader(frame.substr(total - sizeof(std::uint32_t))).get_u32(&stored_crc);
   // CRC covers version..payload (everything between magic and crc).
-  const char* covered = buf_.data() + sizeof(std::uint32_t);
-  const std::size_t covered_n = total - 2 * sizeof(std::uint32_t);
-  if (common::crc32(covered, covered_n) != stored_crc)
+  const std::string_view covered =
+      frame.substr(sizeof(std::uint32_t), total - 2 * sizeof(std::uint32_t));
+  if (common::crc32(covered.data(), covered.size()) != stored_crc)
     return DecodeStatus::kBadCrc;
 
   out->type = static_cast<MsgType>(type);
-  out->payload.assign(buf_.data() + kHeaderBytes,
-                      static_cast<std::size_t>(len));
+  out->payload.assign(frame.substr(kHeaderBytes, len));
   buf_.erase(0, total);
   return DecodeStatus::kFrame;
 }
@@ -145,103 +86,90 @@ DecodeStatus FrameReader::next(Frame* out) {
 // --- message payloads -----------------------------------------------------
 
 std::string encode_hello(const HelloMsg& m) {
-  std::string out;
-  put_u64(out, m.pid);
-  put_u64(out, m.leader);
-  return out;
+  ByteWriter w;
+  w.put_u64(m.pid);
+  w.put_u64(m.leader);
+  return std::move(w).take();
 }
 
 bool decode_hello(std::string_view payload, HelloMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   return c.get_u64(&m->pid) && c.get_u64(&m->leader) && c.at_end();
 }
 
+// The item list is an array of TaskItems: four u64 fields each.
+static_assert(sizeof(TaskItem) == 4 * sizeof(std::uint64_t));
+
 std::string encode_task(const TaskMsg& m) {
-  std::string out;
-  put_u64(out, m.items.size());
-  for (const TaskItem& it : m.items) {
-    put_u64(out, it.fragment_id);
-    put_u64(out, it.epoch);
-    put_u64(out, it.level);
-    put_u64(out, it.n_atoms);
-  }
-  return out;
+  ByteWriter w;
+  w.put_u64(m.items.size());
+  w.put_array(m.items);
+  return std::move(w).take();
 }
 
 bool decode_task(std::string_view payload, TaskMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t n = 0;
-  if (!c.get_u64(&n)) return false;
-  // Four u64 fields per item: the count field must match the bytes that
-  // actually arrived (a hostile count cannot trigger a huge allocation).
-  if (n > c.n / (4 * sizeof(std::uint64_t))) return false;
-  m->items.resize(static_cast<std::size_t>(n));
-  for (TaskItem& it : m->items) {
-    if (!c.get_u64(&it.fragment_id) || !c.get_u64(&it.epoch) ||
-        !c.get_u64(&it.level) || !c.get_u64(&it.n_atoms))
-      return false;
-  }
-  return c.at_end();
+  // get_array bounds the count by the bytes that arrived: no huge alloc.
+  return c.get_u64(&n) && c.get_array(n, &m->items) && c.at_end();
 }
 
 std::string encode_result(const ResultMsg& m) {
-  std::string out;
-  put_u64(out, m.fragment_id);
-  put_u64(out, m.epoch);
-  put_u64(out, m.level);
-  put_f64(out, m.seconds);
-  put_u64(out, m.cache_hit ? 1 : 0);
-  put_u64(out, static_cast<std::uint64_t>(m.reuse_tier));
+  ByteWriter w;
+  w.put_u64(m.fragment_id);
+  w.put_u64(m.epoch);
+  w.put_u64(m.level);
+  w.put_f64(m.seconds);
+  w.put_u64(m.cache_hit ? 1 : 0);
+  w.put_u64(static_cast<std::uint64_t>(m.reuse_tier));
   // cache_hit/reuse_tier and phase_times ride beside the embedded record:
   // the checkpoint record format deliberately carries neither (provenance,
   // not results), but thread-mode leaders deliver both, so the wire must
   // too for exact parity.
-  put_f64(out, m.result.phase_times.p1);
-  put_f64(out, m.result.phase_times.n1);
-  put_f64(out, m.result.phase_times.v1);
-  put_f64(out, m.result.phase_times.h1);
-  std::ostringstream os(std::ios::binary);
-  frag::write_result_record(os, m.result);
-  put_string(out, os.str());
-  return out;
+  w.put_f64(m.result.phase_times.p1);
+  w.put_f64(m.result.phase_times.n1);
+  w.put_f64(m.result.phase_times.v1);
+  w.put_f64(m.result.phase_times.h1);
+  w.put_prefixed(
+      [&](ByteWriter& record) { frag::write_result_record(record, m.result); });
+  return std::move(w).take();
 }
 
 bool decode_result(std::string_view payload, ResultMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t hit = 0;
   std::uint64_t tier = 0;
   dfpt::PhaseTimes phases;
-  std::string record;
+  ByteReader record;
   if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
       !c.get_u64(&m->level) || !c.get_f64(&m->seconds) || !c.get_u64(&hit) ||
       hit > 1 || !c.get_u64(&tier) ||
       tier > static_cast<std::uint64_t>(engine::ReuseTier::kRefresh) ||
       !c.get_f64(&phases.p1) || !c.get_f64(&phases.n1) ||
       !c.get_f64(&phases.v1) || !c.get_f64(&phases.h1) ||
-      !c.get_string(&record) || !c.at_end())
+      !c.get_prefixed(&record) || !c.at_end())
     return false;
   m->cache_hit = hit == 1;
   m->reuse_tier = static_cast<engine::ReuseTier>(tier);
-  std::istringstream is(record, std::ios::binary);
-  // read_result_record bounds-checks matrix dimensions and requires the
-  // completion sentinel, so a damaged embedded record is a clean false.
-  if (!frag::read_result_record(is, &m->result)) return false;
+  // read_result_record checks every matrix size against the record's bytes
+  // and requires the sentinel, so a damaged embedded record is a clean false.
+  if (!frag::read_result_record(record, &m->result)) return false;
   m->result.phase_times = phases;
   return true;
 }
 
 std::string encode_failure(const FailureMsg& m) {
-  std::string out;
-  put_u64(out, m.fragment_id);
-  put_u64(out, m.epoch);
-  put_u64(out, m.level);
-  put_u64(out, static_cast<std::uint64_t>(m.reason));
-  put_string(out, m.error);
-  return out;
+  ByteWriter w;
+  w.put_u64(m.fragment_id);
+  w.put_u64(m.epoch);
+  w.put_u64(m.level);
+  w.put_u64(static_cast<std::uint64_t>(m.reason));
+  w.put_string(m.error);
+  return std::move(w).take();
 }
 
 bool decode_failure(std::string_view payload, FailureMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t reason = 0;
   if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
       !c.get_u64(&m->level) || !c.get_u64(&reason) ||
@@ -254,50 +182,50 @@ bool decode_failure(std::string_view payload, FailureMsg* m) {
 }
 
 std::string encode_cancelled(const CancelledMsg& m) {
-  std::string out;
-  put_u64(out, m.fragment_id);
-  put_u64(out, m.epoch);
-  return out;
+  ByteWriter w;
+  w.put_u64(m.fragment_id);
+  w.put_u64(m.epoch);
+  return std::move(w).take();
 }
 
 bool decode_cancelled(std::string_view payload, CancelledMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   return c.get_u64(&m->fragment_id) && c.get_u64(&m->epoch) && c.at_end();
 }
 
 std::string encode_cancel(const CancelMsg& m) {
-  std::string out;
-  put_u64(out, m.fragment_id);
-  put_u64(out, m.epoch);
-  return out;
+  ByteWriter w;
+  w.put_u64(m.fragment_id);
+  w.put_u64(m.epoch);
+  return std::move(w).take();
 }
 
 bool decode_cancel(std::string_view payload, CancelMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   return c.get_u64(&m->fragment_id) && c.get_u64(&m->epoch) && c.at_end();
 }
 
 std::string encode_stats(const StatsMsg& m) {
-  std::string out;
-  put_f64(out, m.busy_seconds);
-  put_u64(out, m.tasks);
-  put_u64(out, m.fragments);
-  put_u64(out, m.counters.size());
+  ByteWriter w;
+  w.put_f64(m.busy_seconds);
+  w.put_u64(m.tasks);
+  w.put_u64(m.fragments);
+  w.put_u64(m.counters.size());
   for (const auto& [name, value] : m.counters) {
-    put_string(out, name);
-    put_u64(out, static_cast<std::uint64_t>(value));
+    w.put_string(name);
+    w.put_u64(static_cast<std::uint64_t>(value));
   }
-  return out;
+  return std::move(w).take();
 }
 
 bool decode_stats(std::string_view payload, StatsMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t n = 0;
   if (!c.get_f64(&m->busy_seconds) || !c.get_u64(&m->tasks) ||
       !c.get_u64(&m->fragments) || !c.get_u64(&n))
     return false;
   // Each counter needs at least a length and a value on the wire.
-  if (n > c.n / (2 * sizeof(std::uint64_t))) return false;
+  if (n > c.remaining() / (2 * sizeof(std::uint64_t))) return false;
   m->counters.clear();
   m->counters.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

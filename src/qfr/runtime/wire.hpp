@@ -23,8 +23,8 @@ namespace qfr::runtime::wire {
 /// length or count field: oversized frames, truncated payloads, unknown
 /// types, and version skew all surface as typed DecodeStatus values (a
 /// malformed peer can terminate the connection, never corrupt the
-/// master). Payload integers are little-endian fixed-width; doubles are
-/// raw IEEE-754 bytes, so results cross the wire bitwise exactly.
+/// master). Frames and payloads go through common::ByteWriter/ByteReader;
+/// doubles are raw IEEE-754 bytes, so results cross the wire bitwise exactly.
 
 inline constexpr std::uint32_t kMagic = 0x57524651u;  // "QFRW"
 /// v2 added the reuse_tier provenance field to kResult.
@@ -80,7 +80,6 @@ std::string encode_frame_versioned(std::uint32_t version, MsgType type,
 class FrameReader {
  public:
   void append(std::string_view bytes) { buf_.append(bytes); }
-  std::string& buffer() { return buf_; }
 
   DecodeStatus next(Frame* out);
 

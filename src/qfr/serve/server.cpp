@@ -201,6 +201,7 @@ Server::Server(ServerOptions options)
             return v->validate(r).ok;
           });
   }
+  runtime_options_.n_leaders = options_.n_leaders;  // the pool's slots
   runtime_options_.straggler_timeout = options_.straggler_timeout;
   runtime_options_.max_retries = options_.max_retries;
   runtime_options_.retry_backoff_base = options_.retry_backoff_base;

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,21 +264,24 @@ TEST(Canonical, BackRotatedHitMatchesDirectComputeOfRotatedPose) {
 TEST(Canonical, KeySerializationRoundTrips) {
   const Canonicalization c =
       canonicalize(chem::make_water({1, 2, 3}, 0.7), 1e-4, "scf_hf");
-  std::stringstream ss(std::ios::binary | std::ios::in | std::ios::out);
-  write_key(ss, c.key);
+  common::ByteWriter w;
+  write_key(w, c.key);
+  common::ByteReader in(w.view());
   FragmentKey back;
-  ASSERT_TRUE(read_key(ss, &back));
+  ASSERT_TRUE(read_key(in, &back));
   EXPECT_TRUE(back == c.key);
 
   // Truncated stream: clean false, no throw.
-  std::stringstream truncated(std::ios::binary | std::ios::in |
-                              std::ios::out);
-  write_key(truncated, c.key);
-  std::string bytes = truncated.str();
-  bytes.resize(bytes.size() / 2);
-  std::istringstream half(bytes, std::ios::binary);
+  const std::string bytes(w.view());
+  common::ByteReader half(std::string_view(bytes).substr(0, bytes.size() / 2));
   FragmentKey dropped;
   EXPECT_FALSE(read_key(half, &dropped));
+  // ... and so is every other strict prefix.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    common::ByteReader prefix(std::string_view(bytes).substr(0, cut));
+    FragmentKey partial;
+    EXPECT_FALSE(read_key(prefix, &partial)) << "cut at " << cut;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -12,8 +12,10 @@
 #include "qfr/cache/canonical.hpp"
 #include "qfr/cache/store.hpp"
 #include "qfr/chem/molecule.hpp"
+#include "qfr/common/byte_codec.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/common/log.hpp"
+#include "qfr/common/record_log.hpp"
 #include "qfr/engine/model_engine.hpp"
 #include "qfr/frag/assembly.hpp"
 #include "qfr/frag/checkpoint.hpp"
@@ -36,9 +38,9 @@ std::vector<engine::FragmentResult> sample_results() {
 // Serialized result record: two results are bitwise equal exactly when
 // their record bytes are.
 std::string record_bytes(const engine::FragmentResult& r) {
-  std::ostringstream os(std::ios::binary);
-  write_result_record(os, r);
-  return os.str();
+  common::ByteWriter w;
+  write_result_record(w, r);
+  return std::move(w).take();
 }
 
 TEST(Checkpoint, RoundTripPreservesEverything) {
@@ -561,6 +563,60 @@ TEST(CrashConsistency, CacheStoreBitFlipsAreNeverMisattributed) {
       st.present(again);
     }
   }
+}
+
+/// Record-log frame around [prefix][result record], the record's Hessian
+/// header rewritten to claim 2^20 x 2^20 (8 TiB): CRC-valid, so only the
+/// reader's check of sizes against the bytes left can reject it.
+template <class Prefix>
+std::string hostile_frame(const engine::FragmentResult& r,
+                          const Prefix& prefix) {
+  std::string record = record_bytes(r);
+  const std::uint64_t dim = 1u << 20;
+  std::uint64_t rows = 0;
+  std::memcpy(&rows, &record[8], sizeof(rows));  // after the energy
+  EXPECT_EQ(rows, r.hessian.rows());
+  std::memcpy(&record[8], &dim, sizeof(dim));   // Hessian rows
+  std::memcpy(&record[16], &dim, sizeof(dim));  // Hessian cols
+  common::ByteWriter w;
+  common::put_frame(w, [&](common::ByteWriter& body) {
+    prefix(body);
+    body.put_bytes(record.data(), record.size());
+  });
+  return std::string(w.view());
+}
+
+TEST(CrashConsistency, CheckpointHostileMatrixSizeIsSkipped) {
+  const CheckpointBytes ck;
+  std::stringstream ss(
+      ck.data.substr(0, ck.frame_end[0]) +
+      hostile_frame(ck.results[1],
+                    [&](common::ByteWriter& w) { w.put_u64(ck.ids[1]); }) +
+      ck.data.substr(ck.frame_end[1]));
+  const CheckpointReport scan = scan_checkpoint(ss);
+  ck.expect_faithful(scan);
+  EXPECT_EQ(scan.fragment_ids,
+            (std::vector<std::size_t>{ck.ids[0], ck.ids[2]}));
+  EXPECT_EQ(scan.n_corrupt, 1u);
+  EXPECT_EQ(scan.corrupt_ids, std::vector<std::size_t>{ck.ids[1]});
+  EXPECT_FALSE(scan.truncated);
+}
+
+TEST(CrashConsistency, CacheStoreHostileMatrixSizeIsSkipped) {
+  const StoreBytes st("qfr_crash_hostile.qfrc");
+  const cache::FragmentKey key =
+      cache::canonicalize(st.mols[1], st.options().tolerance, "model").key;
+  write_file(st.path,
+             st.data.substr(0, st.frame_end[0]) +
+                 hostile_frame(st.canonical[1],
+                               [&](common::ByteWriter& w) {
+                                 cache::write_key(w, key);
+                               }) +
+                 st.data.substr(st.frame_end[1]));
+  cache::ResultCache cache(st.options());
+  EXPECT_EQ(st.present(cache), (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(cache.stats().store_corrupt, 1);
+  EXPECT_EQ(cache.stats().store_loaded, 2);
 }
 
 TEST(CrashConsistency, SpectrumSeriesTruncatedAtEveryByte) {

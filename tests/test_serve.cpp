@@ -206,6 +206,19 @@ void expect_serve_matches_workflow(const frag::BioSystem& system,
   EXPECT_EQ(report_value(served, "run", "n_fragments"),
             report_value(workflow, "run", "n_fragments"));
   EXPECT_EQ(report_value(served, "scheduler", "n_failed"), 0.0);
+  // Per-leader load: one entry per leader slot (pool slot for serve),
+  // and every fragment was computed by exactly one of them.
+  for (const auto& [j, n_slots] :
+       {std::pair{&served, sopts.n_leaders},
+        std::pair{&workflow, wopts.n_leaders}}) {
+    const obs::Json* leaders = j->find("leaders");
+    ASSERT_NE(leaders, nullptr);
+    ASSERT_EQ(leaders->size(), n_slots);
+    double fragments = 0.0;
+    for (std::size_t l = 0; l < leaders->size(); ++l)
+      fragments += leaders->at(l).find("fragments")->as_double();
+    EXPECT_EQ(fragments, report_value(*j, "run", "n_fragments"));
+  }
 
   // One pipeline behind both entry points: the same metric names, the
   // same sweep accounting (wall time aside) and the same partition

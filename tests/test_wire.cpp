@@ -333,6 +333,21 @@ TEST(Wire, HostileCountFieldsFailCleanly) {
   std::memcpy(&sp[24], &huge, sizeof(huge));
   StatsMsg sout;
   EXPECT_FALSE(decode_stats(sp, &sout));
+
+  // A result whose embedded Hessian header claims 2^20 x 2^20 (8 TiB):
+  // rows and cols follow twelve 8-byte fields (fragment_id .. phase h1,
+  // the record length, the energy).
+  ResultMsg r;
+  r.result = sample_result(2);
+  std::string rp = encode_result(r);
+  std::uint64_t rows = 0;
+  std::memcpy(&rows, &rp[96], sizeof(rows));
+  ASSERT_EQ(rows, r.result.hessian.rows());
+  const std::uint64_t dim = 1u << 20;
+  std::memcpy(&rp[96], &dim, sizeof(dim));
+  std::memcpy(&rp[104], &dim, sizeof(dim));
+  ResultMsg rout;
+  EXPECT_FALSE(decode_result(rp, &rout));
 }
 
 TEST(Wire, OutOfRangeReuseTierIsRejected) {
