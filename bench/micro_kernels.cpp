@@ -10,8 +10,9 @@
 // With --json <path> the binary skips google-benchmark and emits a small
 // deterministic, hand-timed qfr.bench.v1 document instead (the format
 // scripts/ci.sh archives as BENCH_kernels.json): ISA speedup, symmetric
-// strength reduction, batched-vs-eager executor ratios, and the ERI and
-// RHF-gradient build times of one water.
+// strength reduction, batched-vs-eager executor ratios, the ERI and
+// RHF-gradient build times of one water, and its CPSCF polarizability
+// time and iteration count (HF and LDA).
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +25,7 @@
 #include "qfr/chem/molecule.hpp"
 #include "qfr/common/rng.hpp"
 #include "qfr/common/timer.hpp"
+#include "qfr/dfpt/response.hpp"
 #include "qfr/geom/cell_list.hpp"
 #include "qfr/integrals/eri.hpp"
 #include "qfr/integrals/gradients.hpp"
@@ -408,6 +410,34 @@ int run_json_mode(const std::string& path) {
         {"rhf_gradient.water_sto3g.ms", t_grad * 1e3, "ms"});
     report.samples.push_back(
         {"lda_gradient.water_sto3g.ms", t_lda_grad * 1e3, "ms"});
+  }
+
+  // CPSCF polarizability of one water (three field directions) at the
+  // SCF engine's tolerance. Each direction's CG takes at most
+  // n_occ * n_virt + 1 iterations in exact arithmetic; the amplitude
+  // dimension is recorded so CI can gate the counts against it.
+  for (const auto xc :
+       {qfr::scf::XcModel::kHartreeFock, qfr::scf::XcModel::kLda}) {
+    const WaterScf w = water_scf(xc);
+    qfr::dfpt::DfptOptions opts;
+    opts.tolerance = 1e-10;
+    int iterations = 0;
+    const double t = time_per_call([&] {
+      qfr::dfpt::ResponseEngine engine(w.ctx, w.state, xc, opts);
+      iterations = engine.polarizability().total_iterations;
+    });
+    const std::string key =
+        xc == qfr::scf::XcModel::kLda ? "cpscf.water_sto3g.lda"
+                                      : "cpscf.water_sto3g.hf";
+    report.samples.push_back({key + ".ms", t * 1e3, "ms"});
+    report.samples.push_back(
+        {key + ".iterations", static_cast<double>(iterations), "count"});
+    if (xc == qfr::scf::XcModel::kHartreeFock) {
+      const auto n_occ = static_cast<double>(w.state.n_occupied);
+      const auto n_bf = static_cast<double>(w.ctx->bs.n_functions());
+      report.samples.push_back(
+          {"cpscf.water_sto3g.amplitudes", n_occ * (n_bf - n_occ), "count"});
+    }
   }
 
   std::ofstream os(path);

@@ -28,7 +28,8 @@
 # Stage 4 (bench smoke): instrumented bench runs emitting their
 #   qfr.bench.v1 JSON trajectory points (BENCH_fig09.json — including the
 #   measured real-vs-modeled executor replay — BENCH_kernels.json with
-#   both analytic-gradient timings (HF and LDA),
+#   both analytic-gradient timings (HF and LDA) and the CPSCF iteration
+#   counts of one water, gated at 3 * (n_occ * n_virt + 1),
 #   BENCH_cache.json, BENCH_transport.json) — catches bench-binary and
 #   exporter rot without timing anything.
 # Stage 4b (serve smoke): the serve_burst replay drives a live
@@ -115,9 +116,18 @@ s = {x['label']: x['value'] for x in d['samples']}
 for key in ('rhf_gradient.water_sto3g.ms', 'lda_gradient.water_sto3g.ms'):
     assert key in s, f'missing {key}'
     assert math.isfinite(s[key]) and s[key] > 0, f'{key} = {s[key]}'
+# CPSCF is a Krylov solve: each of the three field directions ends
+# within the amplitude dimension + 1, so a polarizability over that bound
+# means the solve regressed toward fixed-point (mixing) counts.
+bound = 3 * (s['cpscf.water_sto3g.amplitudes'] + 1)
+for xc in ('hf', 'lda'):
+    it = s[f'cpscf.water_sto3g.{xc}.iterations']
+    assert 0 < it <= bound, f'CPSCF {xc} water took {it:.0f} iterations (> {bound:.0f})'
 print(f"BENCH_kernels.json ok (rhf_gradient "
       f"{s['rhf_gradient.water_sto3g.ms']:.2f} ms, lda_gradient "
-      f"{s['lda_gradient.water_sto3g.ms']:.2f} ms)")
+      f"{s['lda_gradient.water_sto3g.ms']:.2f} ms, CPSCF iterations "
+      f"hf {s['cpscf.water_sto3g.hf.iterations']:.0f} / lda "
+      f"{s['cpscf.water_sto3g.lda.iterations']:.0f} <= {bound:.0f})")
 EOF
 build/bench/cache_dedup --json build/BENCH_cache.json >/dev/null
 python3 -c "import json; json.load(open('build/BENCH_cache.json'))" \

@@ -1,9 +1,10 @@
 #include "qfr/dfpt/response.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "qfr/common/error.hpp"
-#include "qfr/common/log.hpp"
 #include "qfr/common/timer.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/obs/session.hpp"
@@ -14,6 +15,8 @@ namespace qfr::dfpt {
 namespace {
 using la::Matrix;
 using la::Vector;
+
+std::span<double> flat(Matrix& m) { return {m.data(), m.size()}; }
 }  // namespace
 
 ResponseEngine::ResponseEngine(std::shared_ptr<const scf::ScfContext> ctx,
@@ -119,135 +122,145 @@ ResponseResult ResponseEngine::solve(const Matrix& h1) {
   QFR_REQUIRE(h1.rows() == n && h1.cols() == n,
               "h1 shape mismatch: " << h1.rows() << "x" << h1.cols()
                                     << " for " << n << " basis functions");
-  const int n_occ = scf_.n_occupied;
-  const auto n_virt = static_cast<int>(n) - n_occ;
-  QFR_REQUIRE(n_virt > 0, "no virtual orbitals: basis too small for DFPT");
+  const auto n_occ = static_cast<std::size_t>(scf_.n_occupied);
+  QFR_REQUIRE(n > n_occ, "no virtual orbitals: basis too small for DFPT");
+  const std::size_t n_virt = n - n_occ;
 
   const Matrix& c = scf_.mo_coefficients;
   const Vector& eps = scf_.mo_energies;
 
+  // Workspaces and CG vectors, allocated once per solve. Amplitudes are
+  // n_virt x n_occ (virtual a, occupied i); response densities are n x n.
+  Matrix tmp(n_virt, n), w(n, n_occ), mrot(n, n);
+  Matrix gap(n_virt, n_occ), r(n_virt, n_occ), z(n_virt, n_occ),
+      p(n_virt, n_occ), ap(n_virt, n_occ);
+  Matrix p_dir(n, n), p_z(n, n);
   ResponseResult res;
-  double last_delta = 0.0;
-  // Workspaces, allocated once and reused every iteration.
-  Matrix f1, tmp, f1mo, u, w, mrot;
+  res.p1.resize_zero(n, n);
 
-  // One CPSCF pass at the given mixing; true when it converged.
-  auto attempt = [&](double mixing) {
-    res = ResponseResult{};
-    res.p1.resize_zero(n, n);
-    phase_clock_.reset();
+  // One GEMM through the executor, flushed at once: the CG step needs
+  // each product before the next.
+  auto gemm = [&](const la::GemmTask& t) {
+    exec_->enqueue(t);
+    exec_->flush();
+    flops_ += la::gemm_flops(t.m, t.n, t.k);
+  };
+  const double* c_virt = c.data() + n_occ;  // columns [n_occ, n) of C
+  const double* c_occ = c.data();           // columns [0, n_occ) of C
 
-    for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-      // A revoked fragment stops mid-solve instead of finishing a result
-      // the scheduler would fence out anyway.
-      options_.cancel.throw_if_cancelled();
-
-      // Induced two-electron response (phases n1/v1/h1 inside).
-      Matrix v1_ind;
-      if (iter > 1) v1_ind = induced_fock(res.p1);
-
-      // Phase p1: update the response density matrix — Fock assembly,
-      // MO transform, amplitude build, mixing, and the convergence
-      // residual, so the four-phase sum accounts for the whole iteration.
-      {
-        QFR_TRACE_SPAN("dfpt.p1", "dfpt");
-        // Full first-order Fock and its MO transform F1_mo = C^T F1 C.
-        f1 = h1;
-        if (iter > 1) f1 += v1_ind;
-        tmp.resize_zero(n, n);
-        exec_->enqueue(la::Trans::kYes, la::Trans::kNo, 1.0, c, f1, 0.0, tmp);
-        exec_->flush();
-        f1mo.resize_zero(n, n);
-        exec_->enqueue(la::Trans::kNo, la::Trans::kNo, 1.0, tmp, c, 0.0, f1mo);
-        exec_->flush();
-        flops_ += 2 * la::gemm_flops(n, n, n);
-
-        // Occupied-virtual rotation amplitudes, then the response density
-        // as two GEMMs instead of the O(n^4) amplitude loop:
-        //   W = C_virt U_vo   (n x n_occ),
-        //   M = W C_occ^T     (n x n),
-        //   P1 = 2 (M + M^T).
-        u.resize_zero(n, n);  // only the (virt, occ) block is used
-        for (int a = n_occ; a < static_cast<int>(n); ++a)
-          for (int i = 0; i < n_occ; ++i) {
-            const double gap = eps[i] - eps[a];
-            QFR_ASSERT(std::fabs(gap) > 1e-10, "vanishing HOMO-LUMO gap");
-            u(a, i) = f1mo(a, i) / gap;
-          }
-        w.resize_zero(n, static_cast<std::size_t>(n_occ));
-        la::GemmTask tw;
-        tw.m = n;
-        tw.n = static_cast<std::size_t>(n_occ);
-        tw.k = static_cast<std::size_t>(n_virt);
-        tw.a = c.data() + n_occ;  // columns [n_occ, n) of C
-        tw.lda = n;
-        tw.ta = la::Trans::kNo;
-        tw.b = u.data() + static_cast<std::size_t>(n_occ) * n;
-        tw.ldb = n;  // rows [n_occ, n), columns [0, n_occ) of U
-        tw.tb = la::Trans::kNo;
-        tw.c = w.data();
-        tw.ldc = static_cast<std::size_t>(n_occ);
-        exec_->enqueue(tw);
-        exec_->flush();
-        mrot.resize_zero(n, n);
-        la::GemmTask tm;
-        tm.m = n;
-        tm.n = n;
-        tm.k = static_cast<std::size_t>(n_occ);
-        tm.a = w.data();
-        tm.lda = static_cast<std::size_t>(n_occ);
-        tm.ta = la::Trans::kNo;
-        tm.b = c.data();  // columns [0, n_occ) of C
-        tm.ldb = n;
-        tm.tb = la::Trans::kYes;
-        tm.c = mrot.data();
-        tm.ldc = n;
-        exec_->enqueue(tm);
-        exec_->flush();
-        flops_ += la::gemm_flops(n, static_cast<std::size_t>(n_occ),
-                                 static_cast<std::size_t>(n_virt)) +
-                  la::gemm_flops(n, n, static_cast<std::size_t>(n_occ));
-
-        // Symmetrize, mix, and measure the residual.
-        Matrix p1_new(n, n);
-        for (std::size_t mu = 0; mu < n; ++mu)
-          for (std::size_t nu = 0; nu < n; ++nu)
-            p1_new(mu, nu) = 2.0 * (mrot(mu, nu) + mrot(nu, mu));
-        if (iter > 1) {
-          for (std::size_t k = 0; k < p1_new.size(); ++k)
-            p1_new.data()[k] = mixing * p1_new.data()[k] +
-                               (1.0 - mixing) * res.p1.data()[k];
-        }
-        last_delta = la::max_abs_diff(p1_new, res.p1);
-        res.p1 = std::move(p1_new);
-        res.iterations = iter;
-      }
-      record_phase(&PhaseTimes::p1, h_p1_);
-      if (iter > 1 && last_delta < options_.tolerance) return true;
-    }
-    return false;
+  // [C^T F C]_vo: the virtual-occupied block of an AO matrix in the MO
+  // basis, as (C_virt^T F) C_occ.
+  auto to_vo = [&](const Matrix& f, Matrix& out) {
+    gemm({.m = n_virt, .n = n, .k = n, .a = c_virt, .lda = n,
+          .ta = la::Trans::kYes, .b = f.data(), .ldb = n, .c = tmp.data(),
+          .ldc = n});
+    gemm({.m = n_virt, .n = n_occ, .k = n, .a = tmp.data(), .lda = n,
+          .b = c_occ, .ldb = n, .c = out.data(), .ldc = n_occ});
   };
 
-  bool converged = attempt(options_.mixing);
-  if (!converged && options_.escalate_on_nonconvergence) {
-    const double mixing2 = 0.5 * options_.mixing;
-    QFR_LOG_WARN("CPSCF did not converge in ", options_.max_iterations,
-                 " iterations (last |dP1| = ", last_delta,
-                 "); retrying with mixing ", mixing2);
-    converged = attempt(mixing2);
-  }
-  if (!converged) {
-    QFR_NUMERIC_FAIL("CPSCF failed to converge in "
-                     << options_.max_iterations
-                     << " iterations (last |dP1| = " << last_delta
-                     << ", tolerance " << options_.tolerance
-                     << (options_.escalate_on_nonconvergence
-                             ? ", escalated retry included)"
-                             : ")"));
-  }
+  // Response density of amplitudes x as two GEMMs instead of the O(n^4)
+  // amplitude loop: W = C_virt x, M = W C_occ^T, P = 2 (M + M^T).
+  auto density = [&](const Matrix& x, Matrix& out) {
+    gemm({.m = n, .n = n_occ, .k = n_virt, .a = c_virt, .lda = n,
+          .b = x.data(), .ldb = n_occ, .c = w.data(), .ldc = n_occ});
+    gemm({.m = n, .n = n, .k = n_occ, .a = w.data(), .lda = n_occ,
+          .b = c_occ, .ldb = n, .tb = la::Trans::kYes, .c = mrot.data(),
+          .ldc = n});
+    for (std::size_t mu = 0; mu < n; ++mu)
+      for (std::size_t nu = 0; nu < n; ++nu)
+        out(mu, nu) = 2.0 * (mrot(mu, nu) + mrot(nu, mu));
+  };
 
-  if (h_iters_ != nullptr) h_iters_->observe(res.iterations);
-  return res;
+  // The CPSCF equations for the amplitudes x are A x = b with
+  //   A x = D o x + [C^T G(P(x)) C]_vo,  D_ai = eps_a - eps_i,
+  //   b   = -[C^T h1 C]_vo,
+  // G the induced two-electron response. For closed-shell static response
+  // A is symmetric positive definite, so they are solved by conjugate
+  // gradients preconditioned with D^-1 (the orbital gaps), from the
+  // uncoupled start x0 = D^-1 b. Only P(x) is kept: P is linear, so the
+  // density of each update follows from the densities already built.
+  // Setup (phase p1): D, x0 and P(x0), the first vector to apply G to.
+  phase_clock_.reset();
+  {
+    QFR_TRACE_SPAN("dfpt.p1", "dfpt");
+    for (std::size_t a = 0; a < n_virt; ++a)
+      for (std::size_t i = 0; i < n_occ; ++i) {
+        gap(a, i) = eps[n_occ + a] - eps[i];
+        QFR_ASSERT(std::fabs(gap(a, i)) > 1e-10, "vanishing HOMO-LUMO gap");
+      }
+    to_vo(h1, z);  // z holds x0 until the loop starts
+    for (std::size_t k = 0; k < z.size(); ++k)
+      z.data()[k] = -z.data()[k] / gap.data()[k];
+    density(z, res.p1);
+    p_dir = res.p1;
+  }
+  record_phase(&PhaseTimes::p1, h_p1_);
+
+  double rz = 0.0;         // r^T D^-1 r of the current residual
+  double curvature = 0.0;  // p^T A p of the last step
+  double delta = 0.0;      // max |P(D^-1 r)|: the P1 change of one
+                           // unmixed fixed-point step from x
+  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
+    // A revoked fragment stops mid-solve instead of finishing a result
+    // the scheduler would fence out anyway.
+    options_.cancel.throw_if_cancelled();
+
+    // Induced two-electron response of P(x0) on the first iteration and
+    // of P(p) after it (phases n1/v1/h1 inside).
+    const Matrix g = induced_fock(p_dir);
+
+    // Phase p1: the MO transform, the CG vector updates and the
+    // convergence residual, so the four-phase sum accounts for the whole
+    // iteration.
+    {
+      QFR_TRACE_SPAN("dfpt.p1", "dfpt");
+      to_vo(g, ap);
+      if (iter == 1) {
+        // r0 = b - A x0 = -[C^T G(P(x0)) C]_vo, since D x0 = b.
+        for (std::size_t k = 0; k < r.size(); ++k) r.data()[k] = -ap.data()[k];
+      } else {
+        for (std::size_t k = 0; k < ap.size(); ++k)
+          ap.data()[k] += gap.data()[k] * p.data()[k];
+        curvature = la::dot(flat(p), flat(ap));
+        const double step = rz / curvature;
+        la::axpy(step, flat(p_dir), flat(res.p1));
+        la::axpy(-step, flat(ap), flat(r));
+      }
+      for (std::size_t k = 0; k < z.size(); ++k)
+        z.data()[k] = r.data()[k] / gap.data()[k];
+      density(z, p_z);
+      delta = 0.0;
+      for (std::size_t k = 0; k < p_z.size(); ++k)
+        delta = std::max(delta, std::fabs(p_z.data()[k]));
+      // Next search direction p = z + beta p, and its density by
+      // linearity.
+      const double rz_next = la::dot(flat(r), flat(z));
+      const double beta = iter == 1 ? 0.0 : rz_next / rz;
+      rz = rz_next;
+      for (std::size_t k = 0; k < p.size(); ++k)
+        p.data()[k] = z.data()[k] + beta * p.data()[k];
+      for (std::size_t k = 0; k < p_dir.size(); ++k)
+        p_dir.data()[k] = p_z.data()[k] + beta * p_dir.data()[k];
+      res.iterations = iter;
+    }
+    record_phase(&PhaseTimes::p1, h_p1_);
+    const bool broke_down =
+        iter > 1 && !(curvature > 0.0 && std::isfinite(curvature));
+    if (broke_down || !std::isfinite(delta)) {
+      QFR_NUMERIC_FAIL("CPSCF conjugate gradient broke down at iteration "
+                       << iter << " (p^T A p = " << curvature
+                       << ", |dP1| = " << delta << ", tolerance "
+                       << options_.tolerance << ")");
+    }
+    if (delta < options_.tolerance) {
+      if (h_iters_ != nullptr) h_iters_->observe(res.iterations);
+      return res;
+    }
+  }
+  QFR_NUMERIC_FAIL("CPSCF failed to converge in "
+                   << options_.max_iterations
+                   << " iterations (last |dP1| = " << delta << ", tolerance "
+                   << options_.tolerance << ")");
 }
 
 PolarizabilityResult ResponseEngine::polarizability() {

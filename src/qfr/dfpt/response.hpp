@@ -16,15 +16,12 @@ class Histogram;
 
 namespace qfr::dfpt {
 
-/// Controls for the coupled-perturbed SCF iteration.
+/// Controls for the coupled-perturbed SCF solve.
 struct DfptOptions {
-  int max_iterations = 100;
-  double tolerance = 1e-8;  ///< max-abs change of P1 between cycles
-  double mixing = 0.7;      ///< linear mixing of successive P1
-  /// When the first pass hits max_iterations, retry once with the mixing
-  /// halved (stronger damping of the response oscillation) before
-  /// throwing NumericalError.
-  bool escalate_on_nonconvergence = true;
+  int max_iterations = 100;  ///< CG iterations (one induced_fock each)
+  /// Converged when max|P(D^-1 r)| — the P1 change one unmixed
+  /// fixed-point step would make from the current iterate — falls below.
+  double tolerance = 1e-8;
   /// Cooperative cancellation: polled once per CPSCF iteration; a
   /// cancelled token aborts the solve with CancelledError (the runtime
   /// revoked this fragment's lease). Default token is null.
@@ -86,11 +83,12 @@ class ResponseEngine {
                  scf::XcModel xc = scf::XcModel::kHartreeFock,
                  DfptOptions options = {});
 
-  /// Solve the CPSCF equations for an arbitrary perturbation matrix h1:
-  /// the four phases P1 -> n1 -> v1 -> H1 once per iteration, linear
-  /// mixing of successive P1, and the cancel token polled every iteration.
-  /// A first pass that hits max_iterations is retried once at halved
-  /// mixing (when escalation is enabled) before NumericalError.
+  /// Solve the CPSCF equations for an arbitrary perturbation matrix h1 by
+  /// conjugate gradients on the occupied-virtual amplitudes, preconditioned
+  /// with the orbital gaps: the four phases P1 -> n1 -> v1 -> H1 once per
+  /// iteration and the cancel token polled every iteration. Non-positive
+  /// curvature, a non-finite value or an exhausted max_iterations throws
+  /// NumericalError.
   ResponseResult solve(const la::Matrix& h1);
 
   /// Polarizability via three response solves (one per field direction):
@@ -122,7 +120,7 @@ class ResponseEngine {
   scf::XcModel xc_;
   DfptOptions options_;
   PhaseTimes times_;
-  /// Lap clock of the four phases, restarted at each CPSCF pass: the
+  /// Lap clock of the four phases, restarted at each solve: the
   /// phases tile the iterations, so the bookkeeping between them (timer
   /// reads, histogram updates, the cancel poll) is counted in a phase and
   /// the four-phase sum tracks cpscf.solve.seconds.

@@ -30,6 +30,7 @@
 #include "qfr/obs/session.hpp"
 #include "qfr/qframan/workflow.hpp"
 #include "qfr/runtime/master_runtime.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::cache {
 namespace {
@@ -130,7 +131,7 @@ CacheOptions mem_opts() {
 struct ScratchFile {
   std::string path;
   explicit ScratchFile(const std::string& name) {
-    path = std::string(::testing::TempDir()) + name;
+    path = scratch_path(name);
     std::remove(path.c_str());
   }
   ~ScratchFile() { std::remove(path.c_str()); }

@@ -23,6 +23,7 @@
 #include "qfr/la/blas.hpp"
 #include "qfr/runtime/master_runtime.hpp"
 #include "qfr/traj/runner.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::frag {
 namespace {
@@ -87,7 +88,7 @@ TEST(Checkpoint, RejectsWrongVersion) {
 
 TEST(Checkpoint, FileRoundTrip) {
   const auto original = sample_results();
-  const std::string path = "/tmp/qfr_checkpoint_test.bin";
+  const std::string path = scratch_path("qfr_checkpoint_test.bin");
   {
     CheckpointSink stale(path);
     stale.on_result(9, original[1]);
@@ -274,7 +275,7 @@ TEST(IncrementalCheckpoint, RuntimeCrashThenResumeRecomputesOnlyMissing) {
     sys.waters.push_back(
         chem::make_water({static_cast<double>(20 * i), 0, 0}));
   const Fragmentation fr = fragment_biosystem(sys);
-  const std::string path = "/tmp/qfr_incremental_resume_test.bin";
+  const std::string path = scratch_path("qfr_incremental_resume_test.bin");
   engine::ModelEngine eng;
 
   // First run: fragment 4 fails persistently; the rest complete and
@@ -458,8 +459,7 @@ struct StoreBytes {
   std::string data;
   std::vector<std::size_t> frame_end;
 
-  explicit StoreBytes(const std::string& name)
-      : path(std::string(::testing::TempDir()) + name) {
+  explicit StoreBytes(const std::string& name) : path(scratch_path(name)) {
     std::filesystem::remove(path);
     const engine::ModelEngine eng;
     cache::ResultCache cache(options());
@@ -620,8 +620,7 @@ TEST(CrashConsistency, CacheStoreHostileMatrixSizeIsSkipped) {
 }
 
 TEST(CrashConsistency, SpectrumSeriesTruncatedAtEveryByte) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "qfr_crash_consistency.jsonl";
+  const std::string path = scratch_path("qfr_crash_consistency.jsonl");
   std::vector<traj::FrameSummary> written(3);
   {
     traj::JsonlSpectrumSink sink(path);

@@ -24,6 +24,7 @@
 #include "qfr/frag/checkpoint.hpp"
 #include "qfr/la/matrix.hpp"
 #include "qfr/runtime/wire.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr {
 namespace {
@@ -112,8 +113,7 @@ std::string checkpoint_frame() {
 }
 
 std::string store_frame() {
-  const std::string path =
-      std::string(::testing::TempDir()) + "qfr_codec_golden.store";
+  const std::string path = scratch_path("qfr_codec_golden.store");
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
   {

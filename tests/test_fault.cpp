@@ -17,6 +17,7 @@
 #include "qfr/frag/checkpoint.hpp"
 #include "qfr/frag/fragmentation.hpp"
 #include "qfr/runtime/master_runtime.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::fault {
 namespace {
@@ -405,7 +406,7 @@ TEST(Degradation, ResumedFragmentsAreNotRedispatchedToFallbackEngines) {
 // --------------------------------------------------------- corrupting sink
 
 TEST(CorruptingSink, BitFlipLosesExactlyThatRecord) {
-  const std::string path = "/tmp/qfr_fault_bitflip_test.bin";
+  const std::string path = scratch_path("qfr_fault_bitflip_test.bin");
   FaultPlan plan;
   plan.rules.push_back({FaultKind::kBitFlip, 1, 1.0, /*max_hits=*/1});
   FaultInjector inj(plan);
@@ -437,7 +438,7 @@ TEST(CorruptingSink, BitFlipLosesExactlyThatRecord) {
 }
 
 TEST(CorruptingSink, TruncationDropsTailAndKillsSink) {
-  const std::string path = "/tmp/qfr_fault_truncate_test.bin";
+  const std::string path = scratch_path("qfr_fault_truncate_test.bin");
   FaultPlan plan;
   plan.rules.push_back({FaultKind::kTruncate, 1});
   FaultInjector inj(plan);
@@ -462,8 +463,8 @@ TEST(CorruptingSink, TruncationDropsTailAndKillsSink) {
 
 // A fault plan reproduces the same corruption bit-for-bit across runs.
 TEST(CorruptingSink, CorruptionIsDeterministic) {
-  const std::string a = "/tmp/qfr_fault_det_a.bin";
-  const std::string b = "/tmp/qfr_fault_det_b.bin";
+  const std::string a = scratch_path("qfr_fault_det_a.bin");
+  const std::string b = scratch_path("qfr_fault_det_b.bin");
   FaultPlan plan;
   plan.seed = 31;
   plan.rules.push_back({FaultKind::kBitFlip, 0, 1.0, 1});

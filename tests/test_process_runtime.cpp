@@ -40,6 +40,7 @@
 #include "qfr/runtime/master_runtime.hpp"
 #include "qfr/runtime/result_sink.hpp"
 #include "qfr/runtime/supervisor.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::runtime {
 namespace {
@@ -222,9 +223,7 @@ TEST(ProcessRuntime, UnsupervisedChildDeathIsRecoveredInline) {
   // The marker survives the leader process's death, so only the FIRST
   // incarnation to reach fragment 0 dies (attempt counters in the child's
   // memory would reset with every respawn fork).
-  const std::string marker =
-      std::string(::testing::TempDir()) + "qfr_proc_death_marker_" +
-      std::to_string(::getpid());
+  const std::string marker = scratch_path("qfr_proc_death_marker");
   std::remove(marker.c_str());
   auto compute = [marker](const frag::Fragment& f) {
     if (f.id == 0) {
@@ -326,9 +325,7 @@ TEST(ProcessRuntime, CancelSourceFiredMidComputeStopsChildrenPromptly) {
 // ---------------------------------------------------------------------
 
 TEST(CacheStoreMultiProcess, ConcurrentAppendAndCompactLosesNothing) {
-  const std::string store =
-      std::string(::testing::TempDir()) + "qfr_mp_store_" +
-      std::to_string(::getpid()) + ".bin";
+  const std::string store = scratch_path("qfr_mp_store.bin");
   std::remove(store.c_str());
   std::remove((store + ".lock").c_str());
 

@@ -20,6 +20,7 @@
 #include "qfr/obs/json.hpp"
 #include "qfr/qframan/workflow.hpp"
 #include "qfr/serve/server.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::serve {
 namespace {
@@ -143,8 +144,7 @@ void expect_serve_matches_workflow(const frag::BioSystem& system,
                                    bool expect_lanczos,
                                    const std::string& tag) {
   const std::string report_path =
-      std::string(::testing::TempDir()) + "qfr_serve_vs_workflow_" + tag +
-      ".json";
+      scratch_path("qfr_serve_vs_workflow_" + tag + ".json");
   qframan::WorkflowOptions wopts;
   wopts.sigma_cm = 20.0;
   wopts.omega_points = 400;

@@ -29,6 +29,7 @@
 #include "qfr/traj/frame_source.hpp"
 #include "qfr/traj/runner.hpp"
 #include "qfr/traj/tiered_engine.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::traj {
 namespace {
@@ -47,7 +48,7 @@ frag::BioSystem water_cluster(std::size_t n) {
 }
 
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "qfr_traj_" + name;
+  return scratch_path("qfr_traj_" + name);
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "qfr/obs/json.hpp"
 #include "qfr/part/policy.hpp"
 #include "qfr/qframan/workflow.hpp"
+#include "scratch_path.hpp"
 
 namespace qfr::qframan {
 namespace {
@@ -141,7 +142,8 @@ TEST(Workflow, GagqBeatsPlainLanczosAtFewSteps) {
 }
 
 TEST(Workflow, RunReportCountsLanczosStepsAndReorthogonalizations) {
-  const std::string report_path = "/tmp/qfr_workflow_lanczos_report.json";
+  const std::string report_path =
+      scratch_path("qfr_workflow_lanczos_report.json");
   WorkflowOptions opts;
   opts.solver = SolverKind::kLanczosGagq;
   opts.lanczos_steps = 60;
@@ -329,7 +331,7 @@ class FlakyCountingEngine final : public engine::FragmentEngine {
 
 TEST(Workflow, CheckpointResumeRecomputesOnlyMissingFragments) {
   const frag::BioSystem sys = water_cluster(8);
-  const std::string path = "/tmp/qfr_workflow_resume_test.bin";
+  const std::string path = scratch_path("qfr_workflow_resume_test.bin");
   WorkflowOptions opts;
   opts.sigma_cm = 20.0;
   opts.n_leaders = 1;  // serial dispatch: deterministic failure point
@@ -379,8 +381,9 @@ TEST(Workflow, CheckpointResumeRecomputesOnlyMissingFragments) {
 
 TEST(Workflow, ResumeUnderAnotherFragmentationRecomputesMisshapenRecords) {
   const frag::BioSystem sys = water_cluster(8);
-  const std::string path = "/tmp/qfr_workflow_refragment_test.bin";
-  const std::string report_path = "/tmp/qfr_workflow_refragment_report.json";
+  const std::string path = scratch_path("qfr_workflow_refragment_test.bin");
+  const std::string report_path =
+      scratch_path("qfr_workflow_refragment_report.json");
   WorkflowOptions opts;
   opts.sigma_cm = 20.0;
   opts.n_leaders = 1;
@@ -452,8 +455,8 @@ TEST(Workflow, ObservabilityArtifactsFromScfHfRun) {
   frag::BioSystem sys;
   sys.waters.push_back(chem::make_water({0, 0, 0}));
   sys.waters.push_back(chem::make_water({25.0, 0, 0}));
-  const std::string trace_path = "/tmp/qfr_workflow_obs_trace.json";
-  const std::string report_path = "/tmp/qfr_workflow_obs_report.json";
+  const std::string trace_path = scratch_path("qfr_workflow_obs_trace.json");
+  const std::string report_path = scratch_path("qfr_workflow_obs_report.json");
   WorkflowOptions opts;
   opts.engine = EngineKind::kScfHf;
   opts.sigma_cm = 30.0;
