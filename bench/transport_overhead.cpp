@@ -4,6 +4,9 @@
 // counts and result payload sizes (the ModelEngine's tiny results vs a
 // synthetic Hessian-sized payload). The headline number is the per-
 // fragment overhead in microseconds — the price of real crash isolation.
+// Each case also checks transport parity: every fragment completes on
+// both transports with bitwise-equal energy, Hessian, alpha, dalpha and
+// dmu (a `.parity` sample of 1; the bench exits 1 on a mismatch).
 //
 // With --json <path>, the series is additionally written as a
 // qfr.bench.v1 document (the CI bench-smoke trajectory format).
@@ -45,32 +48,60 @@ std::vector<qfr::frag::Fragment> water_box_fragments(double edge_angstrom) {
   return frags;
 }
 
-double run_sweep(const std::vector<qfr::frag::Fragment>& frags,
-                 qfr::runtime::TransportKind transport, bool fat_results) {
+struct Sweep {
+  double seconds = 0.0;
+  qfr::runtime::RunReport report;
+};
+
+Sweep run_sweep(const std::vector<qfr::frag::Fragment>& frags,
+                qfr::runtime::TransportKind transport, bool fat_results) {
   qfr::runtime::RuntimeOptions ropts;
   ropts.n_leaders = 2;
   ropts.workers_per_leader = 2;
   ropts.transport = transport;
   const qfr::runtime::MasterRuntime rt(std::move(ropts));
   const qfr::engine::ModelEngine eng;
+  Sweep sweep;
   const double t0 = now_seconds();
   if (fat_results) {
     // Pad every result up to a ~100-atom fragment's Hessian so the run
     // is dominated by what actually crosses the wire in production.
-    const qfr::runtime::RunReport rep =
-        rt.run(frags, [&eng](const qfr::frag::Fragment& f) {
-          qfr::engine::FragmentResult r = eng.compute(f.mol);
-          r.hessian = qfr::la::Matrix(300, 300);
-          r.dalpha = qfr::la::Matrix(6, 300);
-          r.dmu = qfr::la::Matrix(3, 300);
-          return r;
-        });
-    (void)rep;
+    sweep.report = rt.run(frags, [&eng](const qfr::frag::Fragment& f) {
+      qfr::engine::FragmentResult r = eng.compute(f.mol);
+      r.hessian = qfr::la::Matrix(300, 300);
+      r.dalpha = qfr::la::Matrix(6, 300);
+      r.dmu = qfr::la::Matrix(3, 300);
+      return r;
+    });
   } else {
-    const qfr::runtime::RunReport rep = rt.run(frags, eng);
-    (void)rep;
+    sweep.report = rt.run(frags, eng);
   }
-  return now_seconds() - t0;
+  sweep.seconds = now_seconds() - t0;
+  return sweep;
+}
+
+bool same_bytes(const qfr::la::Matrix& a, const qfr::la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Transport parity: every fragment completed on both transports, and
+/// each result is bitwise the same (the process results crossed the wire
+/// as raw IEEE-754 bytes).
+bool same_results(const qfr::runtime::RunReport& threads,
+                  const qfr::runtime::RunReport& procs) {
+  if (threads.results.size() != procs.results.size()) return false;
+  for (std::size_t i = 0; i < threads.results.size(); ++i) {
+    const qfr::engine::FragmentResult& a = threads.results[i];
+    const qfr::engine::FragmentResult& b = procs.results[i];
+    if (!threads.outcomes[i].completed || !procs.outcomes[i].completed ||
+        std::memcmp(&a.energy, &b.energy, sizeof(double)) != 0 ||
+        !same_bytes(a.hessian, b.hessian) || !same_bytes(a.alpha, b.alpha) ||
+        !same_bytes(a.dalpha, b.dalpha) || !same_bytes(a.dmu, b.dmu))
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -93,20 +124,26 @@ int main(int argc, char** argv) {
 
   std::printf("=== Leader transport overhead: threads vs processes ===\n\n");
 
+  bool all_parity = true;
   for (const double edge : {10.0, 14.0, 18.0}) {
     const auto frags = water_box_fragments(edge);
     const std::size_t n = frags.size();
     for (const bool fat : {false, true}) {
-      const double threads =
+      const Sweep threads_run =
           run_sweep(frags, qfr::runtime::TransportKind::kThread, fat);
-      const double procs =
+      const Sweep procs_run =
           run_sweep(frags, qfr::runtime::TransportKind::kProcess, fat);
+      const double threads = threads_run.seconds;
+      const double procs = procs_run.seconds;
+      const bool parity = same_results(threads_run.report, procs_run.report);
+      all_parity = all_parity && parity;
       const double per_frag_us =
           (procs - threads) / static_cast<double>(n) * 1e6;
       std::printf(
           "%4zu fragments, %s results: threads %.4f s, processes %.4f s, "
-          "overhead %+.1f us/fragment\n",
-          n, fat ? "hessian" : "  tiny", threads, procs, per_frag_us);
+          "overhead %+.1f us/fragment, parity %s\n",
+          n, fat ? "hessian" : "  tiny", threads, procs, per_frag_us,
+          parity ? "ok" : "MISMATCH");
 
       char prefix[48];
       std::snprintf(prefix, sizeof(prefix), "n%zu.%s", n,
@@ -116,6 +153,7 @@ int main(int argc, char** argv) {
       report.samples.push_back({p + ".process.seconds", procs, "s"});
       report.samples.push_back({p + ".overhead_us_per_fragment",
                                 per_frag_us, "us"});
+      report.samples.push_back({p + ".parity", parity ? 1.0 : 0.0, ""});
     }
   }
   std::printf(
@@ -133,6 +171,12 @@ int main(int argc, char** argv) {
     }
     qfr::obs::write_bench_json(os, report);
     std::printf("bench JSON written to %s\n", json_path.c_str());
+  }
+  if (!all_parity) {
+    std::fprintf(stderr,
+                 "transport parity failed: the process transport's results "
+                 "differ from the thread transport's\n");
+    return 1;
   }
   return 0;
 }

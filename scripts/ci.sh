@@ -30,7 +30,9 @@
 #   measured real-vs-modeled executor replay — BENCH_kernels.json with
 #   both analytic-gradient timings (HF and LDA) and the CPSCF iteration
 #   counts of one water, gated at 3 * (n_occ * n_virt + 1),
-#   BENCH_cache.json, BENCH_transport.json) — catches bench-binary and
+#   BENCH_cache.json, BENCH_transport.json, whose thread and process
+#   sweeps of each case must agree bitwise — every *.parity sample 1 —
+#   with every *.seconds finite and positive) — catches bench-binary and
 #   exporter rot without timing anything.
 # Stage 4b (serve smoke): the serve_burst replay drives a live
 #   serve::Server through a seeded request storm and its BENCH_serve.json
@@ -134,9 +136,23 @@ python3 -c "import json; json.load(open('build/BENCH_cache.json'))" \
   2>/dev/null || { echo "BENCH_cache.json is not valid JSON"; exit 1; }
 echo "BENCH_cache.json ok"
 build/bench/transport_overhead --json build/BENCH_transport.json >/dev/null
-python3 -c "import json; json.load(open('build/BENCH_transport.json'))" \
-  2>/dev/null || { echo "BENCH_transport.json is not valid JSON"; exit 1; }
-echo "BENCH_transport.json ok"
+python3 - <<'EOF' || { echo "BENCH_transport.json check failed"; exit 1; }
+import json, math
+d = json.load(open('build/BENCH_transport.json'))
+s = {x['label']: x['value'] for x in d['samples']}
+# Transport parity: each case's thread and process sweeps completed every
+# fragment with bitwise-equal results.
+parity = {k: v for k, v in s.items() if k.endswith('.parity')}
+assert parity, 'no parity samples'
+bad = sorted(k for k, v in parity.items() if v != 1)
+assert not bad, f'transport parity mismatch: {bad}'
+seconds = {k: v for k, v in s.items() if k.endswith('.seconds')}
+assert seconds, 'no timing samples'
+for k, v in seconds.items():
+    assert math.isfinite(v) and v > 0, f'{k} = {v}'
+print(f"BENCH_transport.json ok ({len(parity)} cases at parity, "
+      f"{len(seconds)} timings)")
+EOF
 
 echo "== serve smoke: burst replay must shed/reject and hit the cache =="
 build/bench/serve_burst --json build/BENCH_serve.json >/dev/null

@@ -152,29 +152,55 @@ struct Attempt {
 Attempt run_attempt(const common::CancelToken& token,
                     const std::function<engine::FragmentResult()>& compute);
 
-/// The leader step: compute a leased task's fragments on `pool` (the
-/// caller plus its helpers), each at its current engine level under its
-/// attempt token linked with the run's cancel token; then, in lease order,
-/// deliver accepted results (deliver_result), report failures to the
-/// scheduler, count cancels, and release each attempt from the
-/// supervisor; then book the task into the report's leaders[leader].
-/// `tokens` holds one attempt token per lease, or is empty when nothing
-/// but the run can cancel an attempt. A fragment's failure never escapes
-/// as an exception.
+/// One fragment of a leader's task: its id and the engine level to run.
+struct ComputeItem {
+  std::size_t fragment_id = 0;
+  std::size_t level = 0;
+};
+
+/// The compute half of the leader step, shared by every leader. Runs
+/// items[k] on `pool` (the caller plus its helpers) under a
+/// "fragment.compute" span recorded into `obs`, through run_attempt with
+/// tokens[k] as its cancel token (one token per item), then calls
+/// done(k, attempt) on the thread that computed it. Thread leaders and
+/// serve's pool slots gather the attempts (execute_leased); a forked
+/// leader process sends each one over the wire as it completes.
+void compute_attempts(std::span<const frag::Fragment> fragments,
+                      const EngineLadder& ladder, obs::Session* obs,
+                      std::size_t leader, std::span<const ComputeItem> items,
+                      std::span<const common::CancelToken> tokens,
+                      ThreadPool& pool,
+                      const std::function<void(std::size_t, Attempt&&)>& done);
+
+/// The deliver half of the leader step, shared by every leader: an
+/// accepted attempt goes through the scheduler's epoch gate into the
+/// report and the sink, a cancelled one counts in n_cancelled (the
+/// fragment is owned elsewhere already; no retry consumed), and any other
+/// failure goes to scheduler.fail. The supervisor then releases the
+/// attempt. The process proxy calls it once per outcome message.
+void deliver_attempt(SweepDrive& drive, std::size_t leader,
+                     const Lease& lease, std::size_t level, Attempt&& attempt);
+
+/// The leader step of a thread leader or a serve pool slot: compute a
+/// leased task's fragments on `pool`, each at its current engine level
+/// under its attempt token linked with the run's cancel token; then
+/// deliver the attempts in lease order and book the task into the
+/// report's leaders[leader]. `tokens` holds one attempt token per lease,
+/// or is empty when nothing but the run can cancel an attempt. A
+/// fragment's failure never escapes as an exception.
 void execute_leased(SweepDrive& drive, std::size_t leader,
                     const LeasedTask& task,
                     std::span<const common::CancelToken> tokens,
                     ThreadPool& pool);
 
-namespace detail {
-
-/// Deliver one completed fragment result through the scheduler's epoch
-/// gate and, when accepted, into the report and the sink. Shared by both
-/// transports so acceptance side effects (metrics, fragment_seconds,
-/// sink serialization) cannot drift apart. Returns true when accepted.
-bool deliver_result(SweepDrive& drive, const Lease& lease, std::size_t level,
-                    engine::FragmentResult&& result, double seconds);
-
-}  // namespace detail
+/// The slot lifecycle of every transport: start the supervisor (when the
+/// drive has one) with a respawn callback, start one thread per leader
+/// slot running slot_main(l), wait until the sweep is finished, stop the
+/// supervisor and join. A respawn joins the dead slot's thread, calls
+/// before_respawn(l) when set (the process transport forks the slot's
+/// fresh child there) and starts slot_main(l) again.
+void run_leader_slots(SweepDrive& drive,
+                      const std::function<void(std::size_t)>& slot_main,
+                      const std::function<void(std::size_t)>& before_respawn);
 
 }  // namespace qfr::runtime

@@ -54,9 +54,6 @@ struct RuntimeOptions {
   /// wire protocol — a leader can then genuinely die (kill -9) and the
   /// sweep recovers through the same scheduler/supervisor machinery.
   TransportKind transport = TransportKind::kThread;
-  /// Leaders request their next task while the current one is still being
-  /// worked on (paper Fig. 4(d)/(e)).
-  bool prefetch = true;
   /// Policy factory; null -> size-sensitive default. A factory rather
   /// than an instance so the runtime is reusable: every run() builds a
   /// fresh policy instead of consuming a one-shot object.

@@ -61,13 +61,6 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
     return common::write_full(fd, frame.data(), frame.size());
   };
 
-  {
-    wire::HelloMsg hello;
-    hello.pid = static_cast<std::uint64_t>(::getpid());
-    hello.leader = l;
-    if (!send(wire::MsgType::kHello, wire::encode_hello(hello))) ::_exit(1);
-  }
-
   std::mutex mu;
   std::condition_variable cv;
   std::deque<wire::TaskMsg> queue;
@@ -79,6 +72,14 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
     std::lock_guard<std::mutex> lock(mu);
     dead = true;
     cv.notify_all();
+  };
+
+  // The task names its fragments by id; the atom count and the level
+  // cross-check that id against the fragments this process inherited.
+  auto identity_ok = [&](const wire::TaskItem& item) {
+    return item.fragment_id < drive.fragments.size() &&
+           drive.fragments[item.fragment_id].n_atoms() == item.n_atoms &&
+           item.level < drive.ladder->n_levels();
   };
 
   std::thread reader([&] {
@@ -106,7 +107,11 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
         }
         if (f.type == wire::MsgType::kTask) {
           wire::TaskMsg task;
-          if (!wire::decode_task(f.payload, &task)) {
+          if (!wire::decode_task(f.payload, &task) ||
+              !std::all_of(task.items.begin(), task.items.end(),
+                           identity_ok)) {
+            QFR_LOG_WARN("leader ", l, ": malformed task from master, "
+                         "exiting");
             mark_dead();
             return;
           }
@@ -162,55 +167,35 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
       task = std::move(queue.front());
       queue.pop_front();
     }
+    std::vector<ComputeItem> items;
+    std::vector<common::CancelToken> tokens;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const wire::TaskItem& item : task.items) {
+        items.push_back({static_cast<std::size_t>(item.fragment_id),
+                         static_cast<std::size_t>(item.level)});
+        tokens.push_back(
+            inflight.at({item.fragment_id, item.epoch}).token());
+      }
+    }
     busy.reset();
-    workers.parallel_for(task.items.size(), [&](std::size_t k) {
-      const wire::TaskItem& item = task.items[k];
-      const std::size_t fid = static_cast<std::size_t>(item.fragment_id);
-      common::CancelToken token;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = inflight.find({item.fragment_id, item.epoch});
-        if (it != inflight.end()) token = it->second.token();
-      }
-      obs::ScopedSession worker_scope(&child_obs);
-      obs::SpanGuard span(&child_obs, "fragment.compute", "runtime");
-      span.arg("fragment", static_cast<double>(fid))
-          .arg("level", static_cast<double>(item.level))
-          .arg("leader", static_cast<double>(l));
-      Attempt a = run_attempt(token, [&] {
-        QFR_REQUIRE(fid < drive.fragments.size() &&
-                        drive.fragments[fid].n_atoms() == item.n_atoms,
-                    "task/fragment identity mismatch on the wire");
-        return drive.ladder->compute(drive.fragments[fid],
-                                     static_cast<std::size_t>(item.level));
-      });
-      if (a.reason == FailureReason::kNone) {
-        // cache_hit/reuse_tier are deliberately not part of the serialized
-        // result record; carry them beside it so the outcome row is right.
-        send(wire::MsgType::kResult,
-             wire::encode_result({.fragment_id = item.fragment_id,
-                                  .epoch = item.epoch,
-                                  .level = item.level,
-                                  .seconds = a.seconds,
-                                  .cache_hit = a.result.cache_hit,
-                                  .reuse_tier = a.result.reuse_tier,
-                                  .result = std::move(a.result)}));
-      } else if (a.reason == FailureReason::kCancelled) {
-        send(wire::MsgType::kCancelled,
-             wire::encode_cancelled({item.fragment_id, item.epoch}));
-      } else {
-        send(wire::MsgType::kFailure,
-             wire::encode_failure({item.fragment_id, item.epoch, item.level,
-                                   a.reason, std::move(a.error)}));
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        inflight.erase({item.fragment_id, item.epoch});
-      }
-    });
+    compute_attempts(
+        drive.fragments, *drive.ladder, &child_obs, l, items, tokens, workers,
+        [&](std::size_t k, Attempt&& a) {
+          // Each outcome streams back as soon as it is computed.
+          const wire::TaskItem& item = task.items[k];
+          send(wire::MsgType::kResult,
+               wire::encode_result({.fragment_id = item.fragment_id,
+                                    .epoch = item.epoch,
+                                    .level = item.level,
+                                    .seconds = a.seconds,
+                                    .result = std::move(a.result),
+                                    .reason = a.reason,
+                                    .error = std::move(a.error)}));
+          std::lock_guard<std::mutex> lock(mu);
+          inflight.erase({item.fragment_id, item.epoch});
+        });
     stats.busy_seconds += busy.seconds();
-    stats.tasks += 1;
-    stats.fragments += task.items.size();
   }
 
   stop_heartbeat.store(true, std::memory_order_relaxed);
@@ -234,59 +219,35 @@ struct Outstanding {
   bool cancel_sent = false;
 };
 
-/// Forked leader processes behind the scheduler: one proxy thread per
-/// leader slot mirrors the thread-mode leader loop, but ships tasks to a
-/// child process over the wire and feeds results/heartbeats back into the
-/// scheduler and supervisor. Child death is observed as socket EOF (or a
-/// failed send) and recovered exactly like a thread-mode crash: leases
-/// revoked, fragments re-queued, slot respawned with a fresh fork.
+/// Forked leader processes behind the scheduler. The leader step is split
+/// across the socket: the child runs its compute half (compute_attempts)
+/// and streams each outcome back; one proxy thread per slot acquires and
+/// registers the leases, ships each task over the wire, and hands every
+/// outcome to the deliver half (deliver_attempt). Child death is observed
+/// as socket EOF (or a failed send) and recovered exactly like a
+/// thread-mode crash: leases revoked, fragments re-queued, slot respawned
+/// with a fresh fork.
 class ProcessTransport final : public LeaderTransport {
  public:
   const char* name() const override { return "process"; }
 
   void run(SweepDrive& drive) override {
-    const std::size_t n_leaders = drive.options.n_leaders;
     {
       std::lock_guard<std::mutex> lock(slots_mutex_);
-      slots_.resize(n_leaders);
+      slots_.resize(drive.options.n_leaders);
       // Fork every initial child before any proxy thread exists, keeping
       // the first forks as close to single-threaded as the master allows.
-      for (std::size_t l = 0; l < n_leaders; ++l) spawn_child_locked(drive, l);
+      for (std::size_t l = 0; l < slots_.size(); ++l)
+        spawn_child_locked(drive, l);
     }
-    if (drive.supervisor != nullptr) {
-      drive.supervisor->start(
-          n_leaders, [&drive] { return drive.wall->seconds(); },
-          [this, &drive](std::size_t l) {
-            // Supervisor thread, no supervisor lock held. The dead slot's
-            // proxy has already returned (it reaped the child first), so
-            // the join is brief.
-            std::lock_guard<std::mutex> lock(slots_mutex_);
-            if (slots_[l].proxy.joinable()) slots_[l].proxy.join();
-            spawn_child_locked(drive, l);
-            slots_[l].proxy =
-                std::thread([this, &drive, l] { proxy_main(drive, l); });
-          });
-      {
-        std::lock_guard<std::mutex> lock(slots_mutex_);
-        for (std::size_t l = 0; l < n_leaders; ++l)
-          slots_[l].proxy =
-              std::thread([this, &drive, l] { proxy_main(drive, l); });
-      }
-      while (!drive.scheduler.finished())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      drive.supervisor->stop();
-      for (auto& s : slots_)
-        if (s.proxy.joinable()) s.proxy.join();
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(slots_mutex_);
-        for (std::size_t l = 0; l < n_leaders; ++l)
-          slots_[l].proxy =
-              std::thread([this, &drive, l] { proxy_main(drive, l); });
-      }
-      for (auto& s : slots_)
-        if (s.proxy.joinable()) s.proxy.join();
-    }
+    // A respawn forks the slot's fresh child before its new proxy starts;
+    // the dead slot's proxy reaped the old child before it returned.
+    run_leader_slots(
+        drive, [this, &drive](std::size_t l) { proxy_main(drive, l); },
+        [this, &drive](std::size_t l) {
+          std::lock_guard<std::mutex> lock(slots_mutex_);
+          spawn_child_locked(drive, l);
+        });
     // Zombie hygiene: every child should already be reaped by its proxy
     // (retire or crash). Kill and reap any straggler so no leader process
     // outlives the sweep even on an abnormal exit path.
@@ -306,7 +267,6 @@ class ProcessTransport final : public LeaderTransport {
   struct Slot {
     pid_t pid = -1;
     common::FdGuard fd;  // parent end of the socketpair
-    std::thread proxy;
   };
 
   /// Fork one leader child on slot `l`. Caller holds slots_mutex_.
@@ -361,11 +321,15 @@ class ProcessTransport final : public LeaderTransport {
 
     wire::FrameReader frames;
     std::map<FragKey, Outstanding> outstanding;
-    std::map<std::uint64_t, std::size_t> task_remaining;  // serial -> left
+    // serial -> (outcomes still due, fragments in the task)
+    std::map<std::uint64_t, std::pair<std::size_t, std::size_t>>
+        task_remaining;
     std::uint64_t next_serial = 1;
     double suppress_until = 0.0;  // injected hang: proxy goes silent
     bool retiring = false;
-    const std::size_t window = options.prefetch ? 2 : 1;
+    // Two tasks in flight: the child computes one while the next one
+    // crosses the wire (the thread leader's prefetch).
+    constexpr std::size_t kWindow = 2;
 
     // The child is gone mid-sweep. Reap it, then recover: supervised, the
     // supervisor owns the crash (revokes the leases, re-queues the
@@ -394,19 +358,10 @@ class ProcessTransport final : public LeaderTransport {
       return true;
     };
 
-    auto resolve = [&](std::map<FragKey, Outstanding>::iterator it) {
-      const std::uint64_t serial = it->second.task_serial;
-      if (supervised) supervisor->release_attempt(l, it->second.lease);
-      outstanding.erase(it);
-      auto tr = task_remaining.find(serial);
-      if (tr != task_remaining.end() && --tr->second == 0)
-        task_remaining.erase(tr);
-    };
-
     // Keep the dispatch window full. Returns false on a crash that ends
     // this proxy (supervised death).
     auto top_up = [&]() -> bool {
-      while (task_remaining.size() < window) {
+      while (task_remaining.size() < kWindow) {
         LeasedTask t = scheduler.acquire(0, drive.wall->seconds());
         if (t.empty()) return true;
         // Register the leases before any wire traffic: if the child dies
@@ -429,7 +384,7 @@ class ProcessTransport final : public LeaderTransport {
           outstanding.emplace(FragKey{item.fragment_id, item.epoch},
                               std::move(o));
         }
-        task_remaining.emplace(serial, t.size());
+        task_remaining.emplace(serial, std::pair{t.size(), t.size()});
         if (supervised) {
           supervisor->beat(l);
           if (options.fault_injector != nullptr) {
@@ -454,8 +409,6 @@ class ProcessTransport final : public LeaderTransport {
             wire::encode_frame(wire::MsgType::kTask, wire::encode_task(msg));
         if (!common::write_full(fd, frame.data(), frame.size()))
           return crash();
-        report.leaders[l].tasks++;
-        report.leaders[l].fragments += t.size();
       }
       return true;
     };
@@ -482,10 +435,8 @@ class ProcessTransport final : public LeaderTransport {
       return true;
     };
 
-    bool stats_merged = false;
     auto handle_frame = [&](wire::Frame& f) -> bool {
       switch (f.type) {
-        case wire::MsgType::kHello:
         case wire::MsgType::kHeartbeat: {
           if (supervised && drive.wall->seconds() >= suppress_until)
             supervisor->beat(l);
@@ -496,32 +447,18 @@ class ProcessTransport final : public LeaderTransport {
           if (!wire::decode_result(f.payload, &rm)) return false;
           auto it = outstanding.find({rm.fragment_id, rm.epoch});
           if (it == outstanding.end()) return true;  // already resolved
-          rm.result.cache_hit = rm.cache_hit;
-          rm.result.reuse_tier = rm.reuse_tier;
-          detail::deliver_result(drive, it->second.lease,
-                                 static_cast<std::size_t>(rm.level),
-                                 std::move(rm.result), rm.seconds);
-          resolve(it);
-          return true;
-        }
-        case wire::MsgType::kFailure: {
-          wire::FailureMsg fm;
-          if (!wire::decode_failure(f.payload, &fm)) return false;
-          auto it = outstanding.find({fm.fragment_id, fm.epoch});
-          if (it == outstanding.end()) return true;
-          scheduler.fail(it->second.lease, fm.error, fm.reason);
-          resolve(it);
-          return true;
-        }
-        case wire::MsgType::kCancelled: {
-          wire::CancelledMsg cm;
-          if (!wire::decode_cancelled(f.payload, &cm)) return false;
-          auto it = outstanding.find({cm.fragment_id, cm.epoch});
-          if (it == outstanding.end()) return true;
-          // Lease already owned elsewhere; nothing delivered, no retry
-          // consumed — same contract as a thread-mode cancelled compute.
-          drive.n_cancelled->fetch_add(1, std::memory_order_relaxed);
-          resolve(it);
+          deliver_attempt(drive, l, it->second.lease, it->second.level,
+                          Attempt{rm.reason, std::move(rm.error),
+                                  std::move(rm.result), rm.seconds});
+          // The task is booked once its last outcome is in.
+          const std::uint64_t serial = it->second.task_serial;
+          outstanding.erase(it);
+          auto tr = task_remaining.find(serial);
+          if (tr != task_remaining.end() && --tr->second.first == 0) {
+            report.leaders[l].tasks++;
+            report.leaders[l].fragments += tr->second.second;
+            task_remaining.erase(tr);
+          }
           return true;
         }
         case wire::MsgType::kStats: {
@@ -531,7 +468,6 @@ class ProcessTransport final : public LeaderTransport {
           if (drive.obs != nullptr)
             for (const auto& [name, value] : sm.counters)
               drive.obs->metrics().counter(name).add(value);
-          stats_merged = true;
           return true;
         }
         default:
@@ -579,7 +515,6 @@ class ProcessTransport final : public LeaderTransport {
           // Clean EOF after kRetire: the child sent its stats and exited.
           reap(l, pid);
           if (supervised) supervisor->leader_retired(l);
-          (void)stats_merged;
           return;
         }
         if (!crash()) return;

@@ -1,6 +1,6 @@
 #include <chrono>
-#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "qfr/common/cancel.hpp"
@@ -52,21 +52,15 @@ void leader_main(SweepDrive& drive, std::size_t l) {
     return at;
   };
 
-  ActiveTask next;  // prefetched
-  bool have_next = false;
+  ActiveTask next;  // prefetched; empty when there is none
   for (;;) {
     // Run-level cancellation (request deadline, client cancel, shutdown):
     // flip every pending fragment terminal so the sweep drains. In-flight
     // computes see the linked token and stop on their own.
     if (options.cancel_token.cancelled())
       scheduler.cancel_pending("sweep cancelled by caller");
-    ActiveTask current;
-    if (have_next) {
-      current = std::move(next);
-      have_next = false;
-    } else {
-      current = fetch();
-    }
+    ActiveTask current =
+        next.task.empty() ? fetch() : std::exchange(next, ActiveTask{});
     if (current.task.empty()) {
       if (scheduler.finished()) break;
       // In-flight fragments on other leaders may still fail or straggle;
@@ -94,14 +88,11 @@ void leader_main(SweepDrive& drive, std::size_t l) {
         }
       }
     }
-    // Prefetch: request the next task before working the current one, so
-    // the master round-trip overlaps with computation. execute_leased
-    // never throws for a fragment, so the prefetched task cannot be
-    // dropped.
-    if (options.prefetch) {
-      next = fetch();
-      have_next = true;
-    }
+    // Prefetch (paper Fig. 4(d)/(e)): request the next task before
+    // working the current one, so the master round-trip overlaps with
+    // computation. execute_leased never throws for a fragment, so the
+    // prefetched task cannot be dropped.
+    next = fetch();
     {
       obs::SpanGuard task_span(obs, "leader.task", "runtime");
       task_span.arg("leader", static_cast<double>(l))
@@ -121,41 +112,8 @@ class ThreadTransport final : public LeaderTransport {
   const char* name() const override { return "thread"; }
 
   void run(SweepDrive& drive) override {
-    const std::size_t n_leaders = drive.options.n_leaders;
-    std::vector<std::thread> threads(n_leaders);
-    // Guards the thread objects: a leader killed on its very first task
-    // can have the supervisor respawning its slot while the main thread
-    // is still move-assigning the original std::thread into it.
-    std::mutex threads_mutex;
-    if (drive.supervisor != nullptr) {
-      drive.supervisor->start(
-          n_leaders, [&drive] { return drive.wall->seconds(); },
-          [&](std::size_t l) {
-            // Runs on the supervisor thread with no supervisor lock held;
-            // the dead incarnation has already returned (join is brief).
-            std::lock_guard<std::mutex> lock(threads_mutex);
-            if (threads[l].joinable()) threads[l].join();
-            threads[l] = std::thread([&drive, l] { leader_main(drive, l); });
-          });
-      {
-        std::lock_guard<std::mutex> lock(threads_mutex);
-        for (std::size_t l = 0; l < n_leaders; ++l)
-          threads[l] = std::thread([&drive, l] { leader_main(drive, l); });
-      }
-      // The master waits on sweep completion, not on the original leader
-      // threads: slots may be respawned while we wait. Stopping the
-      // supervisor first guarantees no further respawns race the joins.
-      while (!drive.scheduler.finished())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      drive.supervisor->stop();
-      for (auto& t : threads)
-        if (t.joinable()) t.join();
-    } else {
-      for (std::size_t l = 0; l < n_leaders; ++l)
-        threads[l] = std::thread([&drive, l] { leader_main(drive, l); });
-      for (auto& t : threads)
-        if (t.joinable()) t.join();
-    }
+    run_leader_slots(
+        drive, [&drive](std::size_t l) { leader_main(drive, l); }, {});
   }
 };
 

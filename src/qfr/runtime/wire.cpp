@@ -12,8 +12,15 @@ using common::ByteReader;
 using common::ByteWriter;
 
 bool known_type(std::uint32_t t) {
-  return t >= static_cast<std::uint32_t>(MsgType::kHello) &&
-         t <= static_cast<std::uint32_t>(MsgType::kStats);
+  switch (static_cast<MsgType>(t)) {
+    case MsgType::kTask:
+    case MsgType::kResult:
+    case MsgType::kHeartbeat:
+    case MsgType::kCancel:
+    case MsgType::kRetire:
+    case MsgType::kStats: return true;
+  }
+  return false;
 }
 
 constexpr std::size_t kHeaderBytes =
@@ -85,18 +92,6 @@ DecodeStatus FrameReader::next(Frame* out) {
 
 // --- message payloads -----------------------------------------------------
 
-std::string encode_hello(const HelloMsg& m) {
-  ByteWriter w;
-  w.put_u64(m.pid);
-  w.put_u64(m.leader);
-  return std::move(w).take();
-}
-
-bool decode_hello(std::string_view payload, HelloMsg* m) {
-  ByteReader c(payload);
-  return c.get_u64(&m->pid) && c.get_u64(&m->leader) && c.at_end();
-}
-
 // The item list is an array of TaskItems: four u64 fields each.
 static_assert(sizeof(TaskItem) == 4 * sizeof(std::uint64_t));
 
@@ -120,8 +115,8 @@ std::string encode_result(const ResultMsg& m) {
   w.put_u64(m.epoch);
   w.put_u64(m.level);
   w.put_f64(m.seconds);
-  w.put_u64(m.cache_hit ? 1 : 0);
-  w.put_u64(static_cast<std::uint64_t>(m.reuse_tier));
+  w.put_u64(m.result.cache_hit ? 1 : 0);
+  w.put_u64(static_cast<std::uint64_t>(m.result.reuse_tier));
   // cache_hit/reuse_tier and phase_times ride beside the embedded record:
   // the checkpoint record format deliberately carries neither (provenance,
   // not results), but thread-mode leaders deliver both, so the wire must
@@ -132,6 +127,8 @@ std::string encode_result(const ResultMsg& m) {
   w.put_f64(m.result.phase_times.h1);
   w.put_prefixed(
       [&](ByteWriter& record) { frag::write_result_record(record, m.result); });
+  w.put_u64(static_cast<std::uint64_t>(m.reason));
+  w.put_string(m.error);
   return std::move(w).take();
 }
 
@@ -141,56 +138,25 @@ bool decode_result(std::string_view payload, ResultMsg* m) {
   std::uint64_t tier = 0;
   dfpt::PhaseTimes phases;
   ByteReader record;
+  std::uint64_t reason = 0;
   if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
       !c.get_u64(&m->level) || !c.get_f64(&m->seconds) || !c.get_u64(&hit) ||
       hit > 1 || !c.get_u64(&tier) ||
       tier > static_cast<std::uint64_t>(engine::ReuseTier::kRefresh) ||
       !c.get_f64(&phases.p1) || !c.get_f64(&phases.n1) ||
       !c.get_f64(&phases.v1) || !c.get_f64(&phases.h1) ||
-      !c.get_prefixed(&record) || !c.at_end())
+      !c.get_prefixed(&record) || !c.get_u64(&reason) ||
+      reason > static_cast<std::uint64_t>(FailureReason::kCancelled) ||
+      !c.get_string(&m->error) || !c.at_end())
     return false;
-  m->cache_hit = hit == 1;
-  m->reuse_tier = static_cast<engine::ReuseTier>(tier);
+  m->reason = static_cast<FailureReason>(reason);
   // read_result_record checks every matrix size against the record's bytes
   // and requires the sentinel, so a damaged embedded record is a clean false.
   if (!frag::read_result_record(record, &m->result)) return false;
+  m->result.cache_hit = hit == 1;
+  m->result.reuse_tier = static_cast<engine::ReuseTier>(tier);
   m->result.phase_times = phases;
   return true;
-}
-
-std::string encode_failure(const FailureMsg& m) {
-  ByteWriter w;
-  w.put_u64(m.fragment_id);
-  w.put_u64(m.epoch);
-  w.put_u64(m.level);
-  w.put_u64(static_cast<std::uint64_t>(m.reason));
-  w.put_string(m.error);
-  return std::move(w).take();
-}
-
-bool decode_failure(std::string_view payload, FailureMsg* m) {
-  ByteReader c(payload);
-  std::uint64_t reason = 0;
-  if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
-      !c.get_u64(&m->level) || !c.get_u64(&reason) ||
-      !c.get_string(&m->error) || !c.at_end())
-    return false;
-  if (reason > static_cast<std::uint64_t>(FailureReason::kTimeout))
-    return false;
-  m->reason = static_cast<FailureReason>(reason);
-  return true;
-}
-
-std::string encode_cancelled(const CancelledMsg& m) {
-  ByteWriter w;
-  w.put_u64(m.fragment_id);
-  w.put_u64(m.epoch);
-  return std::move(w).take();
-}
-
-bool decode_cancelled(std::string_view payload, CancelledMsg* m) {
-  ByteReader c(payload);
-  return c.get_u64(&m->fragment_id) && c.get_u64(&m->epoch) && c.at_end();
 }
 
 std::string encode_cancel(const CancelMsg& m) {
@@ -208,8 +174,6 @@ bool decode_cancel(std::string_view payload, CancelMsg* m) {
 std::string encode_stats(const StatsMsg& m) {
   ByteWriter w;
   w.put_f64(m.busy_seconds);
-  w.put_u64(m.tasks);
-  w.put_u64(m.fragments);
   w.put_u64(m.counters.size());
   for (const auto& [name, value] : m.counters) {
     w.put_string(name);
@@ -221,9 +185,7 @@ std::string encode_stats(const StatsMsg& m) {
 bool decode_stats(std::string_view payload, StatsMsg* m) {
   ByteReader c(payload);
   std::uint64_t n = 0;
-  if (!c.get_f64(&m->busy_seconds) || !c.get_u64(&m->tasks) ||
-      !c.get_u64(&m->fragments) || !c.get_u64(&n))
-    return false;
+  if (!c.get_f64(&m->busy_seconds) || !c.get_u64(&n)) return false;
   // Each counter needs at least a length and a value on the wire.
   if (n > c.remaining() / (2 * sizeof(std::uint64_t))) return false;
   m->counters.clear();

@@ -27,19 +27,19 @@ namespace qfr::runtime::wire {
 /// doubles are raw IEEE-754 bytes, so results cross the wire bitwise exactly.
 
 inline constexpr std::uint32_t kMagic = 0x57524651u;  // "QFRW"
-/// v2 added the reuse_tier provenance field to kResult.
-inline constexpr std::uint32_t kVersion = 2;
+/// v2 added the reuse_tier provenance field to kResult; v3 folded the
+/// failure and cancelled outcomes into kResult and dropped the hello.
+inline constexpr std::uint32_t kVersion = 3;
 /// A fragment result is a few dense matrices; beyond this the length
 /// field itself is corrupt.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 32;
 
-/// Frame types. Values are wire ABI: append only, never renumber.
+/// Frame types. Values are wire ABI: append only, never renumber. The
+/// retired numbers 1 (hello), 4 (failure) and 5 (cancelled) are never
+/// reused and decode as kBadType.
 enum class MsgType : std::uint32_t {
-  kHello = 1,      ///< child -> master: pid + leader id handshake
   kTask = 2,       ///< master -> child: leased fragment work
-  kResult = 3,     ///< child -> master: one fragment's accepted compute
-  kFailure = 4,    ///< child -> master: one fragment's failed compute
-  kCancelled = 5,  ///< child -> master: compute stopped via cancellation
+  kResult = 3,     ///< child -> master: how one fragment attempt ended
   kHeartbeat = 6,  ///< child -> master: liveness
   kCancel = 7,     ///< master -> child: revoke one in-flight fragment
   kRetire = 8,     ///< master -> child: drain and exit cleanly
@@ -89,11 +89,6 @@ class FrameReader {
 
 // --- message payloads -----------------------------------------------------
 
-struct HelloMsg {
-  std::uint64_t pid = 0;
-  std::uint64_t leader = 0;
-};
-
 /// One leased fragment of a task. The fragment geometry itself is NOT on
 /// the wire: leader processes are forked from the master, so the fragment
 /// span rides the fork — the wire carries identity (id + lease epoch),
@@ -110,27 +105,19 @@ struct TaskMsg {
   std::vector<TaskItem> items;
 };
 
+/// How one fragment attempt ended (runtime::Attempt) under its lease.
+/// `result` is meaningful when `reason` is kNone; otherwise it is empty,
+/// and `error` carries the failure's message. result.cache_hit and
+/// result.reuse_tier travel beside the result record, which carries
+/// neither.
 struct ResultMsg {
   std::uint64_t fragment_id = 0;
   std::uint64_t epoch = 0;
   std::uint64_t level = 0;
   double seconds = 0.0;
-  bool cache_hit = false;
-  engine::ReuseTier reuse_tier = engine::ReuseTier::kComputed;
   engine::FragmentResult result;
-};
-
-struct FailureMsg {
-  std::uint64_t fragment_id = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t level = 0;
-  FailureReason reason = FailureReason::kEngineError;
+  FailureReason reason = FailureReason::kNone;
   std::string error;
-};
-
-struct CancelledMsg {
-  std::uint64_t fragment_id = 0;
-  std::uint64_t epoch = 0;
 };
 
 struct CancelMsg {
@@ -138,30 +125,21 @@ struct CancelMsg {
   std::uint64_t epoch = 0;
 };
 
-/// End-of-life rollup of one leader-process incarnation: its LeaderStats
-/// plus a counter snapshot of the child's private obs session, merged
-/// into the master's registry so one RunReport covers every process.
+/// End-of-life rollup of one leader-process incarnation: its busy
+/// seconds plus a counter snapshot of the child's private obs session,
+/// merged into the master's registry so one RunReport covers every
+/// process. The proxy books tasks and fragments itself, as each task's
+/// last outcome arrives.
 struct StatsMsg {
   double busy_seconds = 0.0;
-  std::uint64_t tasks = 0;
-  std::uint64_t fragments = 0;
   std::vector<std::pair<std::string, std::int64_t>> counters;
 };
-
-std::string encode_hello(const HelloMsg& m);
-bool decode_hello(std::string_view payload, HelloMsg* m);
 
 std::string encode_task(const TaskMsg& m);
 bool decode_task(std::string_view payload, TaskMsg* m);
 
 std::string encode_result(const ResultMsg& m);
 bool decode_result(std::string_view payload, ResultMsg* m);
-
-std::string encode_failure(const FailureMsg& m);
-bool decode_failure(std::string_view payload, FailureMsg* m);
-
-std::string encode_cancelled(const CancelledMsg& m);
-bool decode_cancelled(std::string_view payload, CancelledMsg* m);
 
 std::string encode_cancel(const CancelMsg& m);
 bool decode_cancel(std::string_view payload, CancelMsg* m);

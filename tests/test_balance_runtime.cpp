@@ -159,21 +159,6 @@ TEST(Runtime, MatchesSerialResults) {
   }
 }
 
-TEST(Runtime, PrefetchOffStillCorrect) {
-  frag::BioSystem sys;
-  for (int i = 0; i < 5; ++i)
-    sys.waters.push_back(
-        chem::make_water({static_cast<double>(20 * i), 0, 0}));
-  const frag::Fragmentation fr = frag::fragment_biosystem(sys);
-  runtime::RuntimeOptions opts;
-  opts.n_leaders = 2;
-  opts.prefetch = false;
-  runtime::MasterRuntime rt(std::move(opts));
-  engine::ModelEngine eng;
-  const auto report = rt.run(fr.fragments, eng);
-  for (const auto& r : report.results) EXPECT_EQ(r.hessian.rows(), 9u);
-}
-
 TEST(Runtime, PropagatesEngineFailure) {
   frag::BioSystem sys;
   sys.waters.push_back(chem::make_water({0, 0, 0}));
@@ -234,7 +219,7 @@ TEST(Runtime, ReusableAcrossRuns) {
               1e-300);
 }
 
-// Satellite regression: with prefetch on, a leader holds a popped "next"
+// Satellite regression: a leader prefetches, so it holds a popped "next"
 // task while the current one runs. A failing fragment must not cause the
 // prefetched task to be dropped on the floor — the scheduler keeps every
 // fragment accounted for until it is terminal.
@@ -247,7 +232,6 @@ TEST(Runtime, PrefetchedWorkSurvivesFailures) {
 
   runtime::RuntimeOptions opts;
   opts.n_leaders = 3;
-  opts.prefetch = true;
   opts.policy_factory = [] { return balance::make_fifo_policy(1); };
   opts.max_retries = 3;
   opts.abort_on_failure = false;

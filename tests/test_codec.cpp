@@ -1,10 +1,12 @@
 // Golden-bytes oracle for every result-carrying encoding: the checkpoint
-// frame, the result-cache store frame and one frame of each of the nine
-// wire message types. The sizes and CRCs below were taken from the
-// iostream-based encoders that preceded the shared common/ byte codec;
-// any drift in a byte layout (field order, width, endianness, the matrix
-// header, a length prefix) changes a CRC here before it can strand an
-// existing checkpoint or store, or split a mixed-build master and leader.
+// frame, the result-cache store frame and one frame of each of the six
+// wire message types (two for kResult: an accepted and a failed attempt).
+// The checkpoint and store values were taken from the iostream-based
+// encoders that preceded the shared common/ byte codec; the wire values
+// from the first wire v3 encoders. Any drift in a byte layout (field
+// order, width, endianness, the matrix header, a length prefix) changes a
+// CRC here before it can strand an existing checkpoint or store, or split
+// a mixed-build master and leader.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -139,9 +141,6 @@ TEST(Codec, EncodingsAreByteIdenticalToTheParent) {
                     checkpoint_frame());
   expect_log_golden({"store", 1006, 66533136u, 3784881535u}, store_frame());
 
-  wire::HelloMsg hello;
-  hello.pid = 4217;
-  hello.leader = 3;
   wire::TaskMsg task;
   task.items.push_back({17, 5, 0, 9});
   task.items.push_back({0, 1, 2, 21});
@@ -150,44 +149,36 @@ TEST(Codec, EncodingsAreByteIdenticalToTheParent) {
   result.epoch = 7;
   result.level = 1;
   result.seconds = 1.0 / 3.0;
-  result.cache_hit = true;
-  result.reuse_tier = engine::ReuseTier::kRefresh;
   result.result = golden_result();
-  wire::FailureMsg failure;
-  failure.fragment_id = 9;
-  failure.epoch = 2;
-  failure.level = 1;
-  failure.reason = runtime::FailureReason::kTimeout;
-  failure.error = "engine: CPSCF diverged";
+  result.result.cache_hit = true;
+  result.result.reuse_tier = engine::ReuseTier::kRefresh;
+  wire::ResultMsg failed;
+  failed.fragment_id = 9;
+  failed.epoch = 2;
+  failed.level = 1;
+  failed.reason = runtime::FailureReason::kTimeout;
+  failed.error = "engine: CPSCF diverged";
   wire::StatsMsg stats;
   stats.busy_seconds = 2.5;
-  stats.tasks = 11;
-  stats.fragments = 13;
   stats.counters = {{"qfr.runtime.tasks", 11}, {"qfr.cache.misses", -2}};
 
-  expect_wire_golden({"hello", 40, 4185286860u, 2548170739u},
-                     wire::encode_frame(MsgType::kHello,
-                                        wire::encode_hello(hello)));
-  expect_wire_golden({"task", 96, 2158245031u, 2143559124u},
+  expect_wire_golden({"task", 96, 3613490366u, 671176141u},
                      wire::encode_frame(MsgType::kTask,
                                         wire::encode_task(task)));
-  expect_wire_golden({"result", 1000, 1364284697u, 254485095u},
+  expect_wire_golden({"result", 1016, 4155878013u, 1580755046u},
                      wire::encode_frame(MsgType::kResult,
                                         wire::encode_result(result)));
-  expect_wire_golden({"failure", 86, 2719479092u, 1470279028u},
-                     wire::encode_frame(MsgType::kFailure,
-                                        wire::encode_failure(failure)));
-  expect_wire_golden({"cancelled", 40, 2597520347u, 4098135268u},
-                     wire::encode_frame(MsgType::kCancelled,
-                                        wire::encode_cancelled({3, 4})));
-  expect_wire_golden({"heartbeat", 24, 4240051065u, 2217135062u},
+  expect_wire_golden({"result.failed", 246, 3767429597u, 3334622925u},
+                     wire::encode_frame(MsgType::kResult,
+                                        wire::encode_result(failed)));
+  expect_wire_golden({"heartbeat", 24, 1389533928u, 709777991u},
                      wire::encode_frame(MsgType::kHeartbeat, ""));
-  expect_wire_golden({"cancel", 40, 2282526584u, 3868917831u},
+  expect_wire_golden({"cancel", 40, 2044105426u, 390137325u},
                      wire::encode_frame(MsgType::kCancel,
                                         wire::encode_cancel({5, 6})));
-  expect_wire_golden({"retire", 24, 361486439u, 1830230216u},
+  expect_wire_golden({"retire", 24, 3152234998u, 3279915353u},
                      wire::encode_frame(MsgType::kRetire, ""));
-  expect_wire_golden({"stats", 121, 2008990909u, 3284635684u},
+  expect_wire_golden({"stats", 105, 2442770852u, 3523008736u},
                      wire::encode_frame(MsgType::kStats,
                                         wire::encode_stats(stats)));
 }

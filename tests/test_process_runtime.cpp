@@ -142,6 +142,23 @@ TEST(ProcessParity, ThreadedProcessAndDesAgreeOnOneSweep) {
     EXPECT_EQ(process.results[id].energy, threaded.results[id].energy);
   }
 
+  // One rule for leader stats on both transports: a task is booked when
+  // its last attempt is delivered, with every fragment it carried.
+  for (const RunReport* report : {&threaded, &process}) {
+    std::size_t tasks = 0;
+    std::size_t fragments = 0;
+    std::size_t attempts = 0;
+    for (const LeaderStats& leader : report->leaders) {
+      tasks += leader.tasks;
+      fragments += leader.fragments;
+      if (leader.tasks > 0) EXPECT_GT(leader.busy_seconds, 0.0);
+    }
+    for (const FragmentOutcome& outcome : report->outcomes)
+      attempts += outcome.attempts;
+    EXPECT_EQ(tasks, report->n_tasks);
+    EXPECT_EQ(fragments, attempts);
+  }
+
   // The DES mirror of the same sweep shape covers every fragment and
   // replays deterministically — the third leg of the parity triangle.
   std::vector<balance::WorkItem> items;

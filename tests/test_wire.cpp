@@ -57,18 +57,6 @@ Frame decode_one(const std::string& bytes) {
 // Round trips: every message type, bitwise-exact payloads.
 // ---------------------------------------------------------------------
 
-TEST(Wire, HelloRoundTrip) {
-  HelloMsg in;
-  in.pid = 4217;
-  in.leader = 3;
-  const Frame f = decode_one(encode_frame(MsgType::kHello, encode_hello(in)));
-  ASSERT_EQ(f.type, MsgType::kHello);
-  HelloMsg out;
-  ASSERT_TRUE(decode_hello(f.payload, &out));
-  EXPECT_EQ(out.pid, in.pid);
-  EXPECT_EQ(out.leader, in.leader);
-}
-
 TEST(Wire, TaskRoundTrip) {
   TaskMsg in;
   in.items.push_back({17, 5, 0, 9});
@@ -92,9 +80,9 @@ TEST(Wire, ResultRoundTripIsBitwiseExact) {
   in.epoch = 7;
   in.level = 1;
   in.seconds = 0.037251234;
-  in.cache_hit = true;
-  in.reuse_tier = engine::ReuseTier::kRefresh;
   in.result = sample_result(3);
+  in.result.cache_hit = true;
+  in.result.reuse_tier = engine::ReuseTier::kRefresh;
   const Frame f =
       decode_one(encode_frame(MsgType::kResult, encode_result(in)));
   ASSERT_EQ(f.type, MsgType::kResult);
@@ -104,8 +92,10 @@ TEST(Wire, ResultRoundTripIsBitwiseExact) {
   EXPECT_EQ(out.epoch, in.epoch);
   EXPECT_EQ(out.level, in.level);
   EXPECT_EQ(out.seconds, in.seconds);  // bitwise: == on doubles on purpose
-  EXPECT_EQ(out.cache_hit, in.cache_hit);
-  EXPECT_EQ(out.reuse_tier, in.reuse_tier);
+  EXPECT_EQ(out.reason, FailureReason::kNone);
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_EQ(out.result.cache_hit, in.result.cache_hit);
+  EXPECT_EQ(out.result.reuse_tier, in.result.reuse_tier);
   EXPECT_EQ(out.result.energy, in.result.energy);
   ASSERT_EQ(out.result.hessian.rows(), in.result.hessian.rows());
   ASSERT_EQ(out.result.hessian.cols(), in.result.hessian.cols());
@@ -121,66 +111,68 @@ TEST(Wire, ResultRoundTripIsBitwiseExact) {
   EXPECT_EQ(out.result.displacement_tasks, in.result.displacement_tasks);
 }
 
+// A failed attempt travels as a result message with an empty result:
+// every reason, and its message, must survive the trip.
 TEST(Wire, FailureRoundTripAllReasons) {
   for (const FailureReason reason :
        {FailureReason::kNone, FailureReason::kEngineError,
         FailureReason::kInvalidResult, FailureReason::kNonConvergence,
-        FailureReason::kTimeout}) {
-    FailureMsg in;
+        FailureReason::kTimeout, FailureReason::kCancelled}) {
+    ResultMsg in;
     in.fragment_id = 8;
     in.epoch = 2;
     in.level = 1;
     in.reason = reason;
     in.error = "SCF failed to converge after 128 cycles";
     const Frame f =
-        decode_one(encode_frame(MsgType::kFailure, encode_failure(in)));
-    ASSERT_EQ(f.type, MsgType::kFailure);
-    FailureMsg out;
-    ASSERT_TRUE(decode_failure(f.payload, &out));
+        decode_one(encode_frame(MsgType::kResult, encode_result(in)));
+    ASSERT_EQ(f.type, MsgType::kResult);
+    ResultMsg out;
+    ASSERT_TRUE(decode_result(f.payload, &out));
     EXPECT_EQ(out.fragment_id, in.fragment_id);
     EXPECT_EQ(out.epoch, in.epoch);
     EXPECT_EQ(out.level, in.level);
     EXPECT_EQ(static_cast<int>(out.reason), static_cast<int>(reason));
     EXPECT_EQ(out.error, in.error);
+    EXPECT_TRUE(out.result.hessian.empty());
   }
 }
 
 TEST(Wire, CancelledAndCancelRoundTrip) {
-  CancelledMsg cd;
-  cd.fragment_id = 5;
-  cd.epoch = 11;
-  Frame f =
-      decode_one(encode_frame(MsgType::kCancelled, encode_cancelled(cd)));
-  ASSERT_EQ(f.type, MsgType::kCancelled);
-  CancelledMsg cd_out;
-  ASSERT_TRUE(decode_cancelled(f.payload, &cd_out));
-  EXPECT_EQ(cd_out.fragment_id, 5u);
-  EXPECT_EQ(cd_out.epoch, 11u);
-
   CancelMsg cm;
   cm.fragment_id = 6;
   cm.epoch = 12;
-  f = decode_one(encode_frame(MsgType::kCancel, encode_cancel(cm)));
+  Frame f = decode_one(encode_frame(MsgType::kCancel, encode_cancel(cm)));
   ASSERT_EQ(f.type, MsgType::kCancel);
   CancelMsg cm_out;
   ASSERT_TRUE(decode_cancel(f.payload, &cm_out));
   EXPECT_EQ(cm_out.fragment_id, 6u);
   EXPECT_EQ(cm_out.epoch, 12u);
+
+  // The child's answer to a cancel: a cancelled attempt, no result.
+  ResultMsg cd;
+  cd.fragment_id = 6;
+  cd.epoch = 12;
+  cd.reason = FailureReason::kCancelled;
+  f = decode_one(encode_frame(MsgType::kResult, encode_result(cd)));
+  ASSERT_EQ(f.type, MsgType::kResult);
+  ResultMsg cd_out;
+  ASSERT_TRUE(decode_result(f.payload, &cd_out));
+  EXPECT_EQ(cd_out.fragment_id, 6u);
+  EXPECT_EQ(cd_out.epoch, 12u);
+  EXPECT_EQ(cd_out.reason, FailureReason::kCancelled);
+  EXPECT_TRUE(cd_out.error.empty());
 }
 
 TEST(Wire, StatsRoundTripWithCounters) {
   StatsMsg in;
   in.busy_seconds = 12.375;
-  in.tasks = 41;
-  in.fragments = 77;
   in.counters = {{"qfr.cache.hits", 13}, {"sweep.fragments.completed", -2}};
   const Frame f = decode_one(encode_frame(MsgType::kStats, encode_stats(in)));
   ASSERT_EQ(f.type, MsgType::kStats);
   StatsMsg out;
   ASSERT_TRUE(decode_stats(f.payload, &out));
   EXPECT_EQ(out.busy_seconds, in.busy_seconds);
-  EXPECT_EQ(out.tasks, in.tasks);
-  EXPECT_EQ(out.fragments, in.fragments);
   ASSERT_EQ(out.counters.size(), 2u);
   EXPECT_EQ(out.counters[0].first, "qfr.cache.hits");
   EXPECT_EQ(out.counters[0].second, 13);
@@ -198,13 +190,12 @@ TEST(Wire, HeartbeatIsAnEmptyPayloadFrame) {
 // ---------------------------------------------------------------------
 
 TEST(Wire, ByteAtATimeFeedingYieldsExactlyTheFramesSent) {
-  HelloMsg h;
-  h.pid = 1;
-  h.leader = 0;
+  TaskMsg t;
+  t.items.push_back({1, 1, 0, 3});
   CancelMsg c;
   c.fragment_id = 3;
   c.epoch = 4;
-  const std::string stream = encode_frame(MsgType::kHello, encode_hello(h)) +
+  const std::string stream = encode_frame(MsgType::kTask, encode_task(t)) +
                              encode_frame(MsgType::kHeartbeat, "") +
                              encode_frame(MsgType::kCancel, encode_cancel(c));
   FrameReader reader;
@@ -218,7 +209,7 @@ TEST(Wire, ByteAtATimeFeedingYieldsExactlyTheFramesSent) {
     ASSERT_EQ(st, DecodeStatus::kNeedMore);
   }
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], MsgType::kHello);
+  EXPECT_EQ(seen[0], MsgType::kTask);
   EXPECT_EQ(seen[1], MsgType::kHeartbeat);
   EXPECT_EQ(seen[2], MsgType::kCancel);
 }
@@ -240,12 +231,12 @@ TEST(Wire, TruncationAtEveryOffsetIsNeedMoreNeverAFrame) {
 // ---------------------------------------------------------------------
 
 TEST(Wire, EverySingleBitFlipIsRejected) {
-  FailureMsg m;
+  ResultMsg m;
   m.fragment_id = 2;
   m.epoch = 3;
   m.reason = FailureReason::kTimeout;
   m.error = "watchdog";
-  const std::string whole = encode_frame(MsgType::kFailure, encode_failure(m));
+  const std::string whole = encode_frame(MsgType::kResult, encode_result(m));
   for (std::size_t byte = 0; byte < whole.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = whole;
@@ -269,16 +260,19 @@ TEST(Wire, EverySingleBitFlipIsRejected) {
 }
 
 TEST(Wire, VersionSkewIsTypedNotFatalToTheProcess) {
-  const std::string payload = encode_hello({123, 0});
-  for (const std::uint32_t v : {0u, kVersion + 1, 0xffffffffu}) {
+  const std::string payload = encode_cancel({123, 0});
+  // 2 is the previous protocol, which still had hello, failure and
+  // cancelled frames.
+  static_assert(kVersion == 3);
+  for (const std::uint32_t v : {0u, 2u, kVersion + 1, 0xffffffffu}) {
     FrameReader reader;
-    reader.append(encode_frame_versioned(v, MsgType::kHello, payload));
+    reader.append(encode_frame_versioned(v, MsgType::kCancel, payload));
     Frame f;
     EXPECT_EQ(reader.next(&f), DecodeStatus::kBadVersion) << "version " << v;
   }
   // And the current version still decodes through the same path.
   FrameReader reader;
-  reader.append(encode_frame_versioned(kVersion, MsgType::kHello, payload));
+  reader.append(encode_frame_versioned(kVersion, MsgType::kCancel, payload));
   Frame f;
   EXPECT_EQ(reader.next(&f), DecodeStatus::kFrame);
 }
@@ -290,15 +284,15 @@ TEST(Wire, BadMagicUnknownTypeAndOversizedLengthAreTyped) {
     reader.append("this is not a QFRW stream at all........");
     EXPECT_EQ(reader.next(&f), DecodeStatus::kBadMagic);
   }
-  {
-    // Patch the type field (bytes 8..11) to an unknown value, then fix
-    // nothing else: the type check fires before the CRC.
+  // Patch the type field (bytes 8..11) to an unknown value, then fix
+  // nothing else: the type check fires before the CRC. The retired
+  // numbers 1 (hello), 4 (failure) and 5 (cancelled) are unknown too.
+  for (const std::uint32_t bad_type : {0u, 1u, 4u, 5u, 10u, 99u}) {
     std::string frame = encode_frame(MsgType::kHeartbeat, "");
-    const std::uint32_t bad_type = 99;
     std::memcpy(&frame[8], &bad_type, sizeof(bad_type));
     FrameReader reader;
     reader.append(frame);
-    EXPECT_EQ(reader.next(&f), DecodeStatus::kBadType);
+    EXPECT_EQ(reader.next(&f), DecodeStatus::kBadType) << "type " << bad_type;
   }
   {
     // Patch the length field (bytes 12..19) beyond kMaxPayloadBytes.
@@ -329,8 +323,8 @@ TEST(Wire, HostileCountFieldsFailCleanly) {
   StatsMsg s;
   s.counters = {{"k", 1}};
   std::string sp = encode_stats(s);
-  // The counter count is the first u64 after busy_seconds+tasks+fragments.
-  std::memcpy(&sp[24], &huge, sizeof(huge));
+  // The counter count is the first u64 after busy_seconds.
+  std::memcpy(&sp[8], &huge, sizeof(huge));
   StatsMsg sout;
   EXPECT_FALSE(decode_stats(sp, &sout));
 
@@ -353,14 +347,32 @@ TEST(Wire, HostileCountFieldsFailCleanly) {
 TEST(Wire, OutOfRangeReuseTierIsRejected) {
   ResultMsg r;
   r.fragment_id = 1;
-  r.reuse_tier = engine::ReuseTier::kExact;
   r.result = sample_result(2);
+  r.result.reuse_tier = engine::ReuseTier::kExact;
   std::string payload = encode_result(r);
   // The tier u64 sits after fragment_id/epoch/level/seconds/cache_hit.
   const std::uint64_t bogus = 3;  // one past kRefresh
   std::memcpy(&payload[40], &bogus, sizeof(bogus));
   ResultMsg out;
   EXPECT_FALSE(decode_result(payload, &out));
+}
+
+TEST(Wire, OutOfRangeReasonIsRejected) {
+  ResultMsg r;
+  r.fragment_id = 1;
+  r.reason = FailureReason::kEngineError;
+  std::string payload = encode_result(r);
+  // With an empty error, the reason u64 is followed only by the error's
+  // u64 length.
+  const std::size_t at = payload.size() - 2 * sizeof(std::uint64_t);
+  std::uint64_t reason = 0;
+  std::memcpy(&reason, &payload[at], sizeof(reason));
+  ASSERT_EQ(reason, static_cast<std::uint64_t>(FailureReason::kEngineError));
+  for (const std::uint64_t bogus : {std::uint64_t{6}, ~std::uint64_t{0}}) {
+    std::memcpy(&payload[at], &bogus, sizeof(bogus));
+    ResultMsg out;
+    EXPECT_FALSE(decode_result(payload, &out)) << "reason " << bogus;
+  }
 }
 
 TEST(Wire, TruncatedPayloadsFailEveryDecoder) {
@@ -376,10 +388,10 @@ TEST(Wire, TruncatedPayloadsFailEveryDecoder) {
     EXPECT_FALSE(decode_result(payload.substr(0, cut), &out))
         << "cut at " << cut;
   }
-  FailureMsg fout;
-  EXPECT_FALSE(decode_failure("", &fout));
-  HelloMsg hout;
-  EXPECT_FALSE(decode_hello("short", &hout));
+  StatsMsg sout;
+  EXPECT_FALSE(decode_stats("", &sout));
+  CancelMsg cancel_out;
+  EXPECT_FALSE(decode_cancel("short", &cancel_out));
   TaskMsg tout;
   EXPECT_FALSE(decode_task("\x01", &tout));
 }
@@ -407,16 +419,10 @@ TEST(Wire, RandomGarbageNeverDecodesAndNeverHangs) {
     EXPECT_NE(st, DecodeStatus::kFrame) << "round " << round;
 
     // Every decoder over random payload bytes: false, never UB.
-    HelloMsg h;
-    decode_hello(junk, &h);
     TaskMsg t;
     decode_task(junk, &t);
     ResultMsg r;
     decode_result(junk, &r);
-    FailureMsg fa;
-    decode_failure(junk, &fa);
-    CancelledMsg cd;
-    decode_cancelled(junk, &cd);
     CancelMsg cm;
     decode_cancel(junk, &cm);
     StatsMsg s;
@@ -425,16 +431,16 @@ TEST(Wire, RandomGarbageNeverDecodesAndNeverHangs) {
 }
 
 TEST(Wire, GarbageAfterAValidFrameStillYieldsTheFrame) {
-  HelloMsg h;
-  h.pid = 10;
-  h.leader = 1;
-  std::string stream = encode_frame(MsgType::kHello, encode_hello(h));
+  CancelMsg c;
+  c.fragment_id = 10;
+  c.epoch = 1;
+  std::string stream = encode_frame(MsgType::kCancel, encode_cancel(c));
   stream += "garbage tail that is not a frame";
   FrameReader reader;
   reader.append(stream);
   Frame f;
   ASSERT_EQ(reader.next(&f), DecodeStatus::kFrame);
-  EXPECT_EQ(f.type, MsgType::kHello);
+  EXPECT_EQ(f.type, MsgType::kCancel);
   EXPECT_EQ(reader.next(&f), DecodeStatus::kBadMagic);
 }
 
